@@ -1,15 +1,19 @@
-# Flick-Go build targets. `make ci` is the full gate: vet, build, the
+# Flick-Go build targets. `make ci` is the full gate: gofmt, vet, build, the
 # flick-lint ownership analyzers, race-enabled tests (which include the
 # rt allocation guard), and the generated-stub drift check.
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race bench bench-rt chaos chaos-short fleet fleet-short trace trace-short stream stream-short zerocopy zerocopy-short drain drain-short bench-json generate generate-check stats ci
+.PHONY: all build fmt-check vet lint test test-race bench bench-rt chaos chaos-short fleet fleet-short trace trace-short stream stream-short zerocopy zerocopy-short drain drain-short bench-json generate generate-check stats ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Fail if any Go file (hand-written or generated) is not gofmt-canonical.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "not gofmt-canonical:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -139,4 +143,4 @@ stats:
 	$(GO) run ./cmd/flick-bench -exp pipeline
 	$(GO) run ./cmd/flick-stats -rounds 50
 
-ci: vet build lint test-race generate-check
+ci: fmt-check vet build lint test-race generate-check

@@ -1,6 +1,9 @@
 package flick_test
 
 import (
+	"bytes"
+	"fmt"
+	"go/format"
 	"strings"
 	"testing"
 
@@ -117,20 +120,77 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-func TestGeneratedGoCompilesUnderGofmtAssumptions(t *testing.T) {
-	// Generated Go must at least be balanced and contain the DO NOT
-	// EDIT marker; real compilation is covered by the committed
-	// teststubs package.
-	out, err := flick.Compile("m.idl", mailCorba, flick.Options{Package: "p", EmitRPC: true})
+// TestGeneratedGoIsGofmtCanonical is the Go back end's formatting
+// contract: the emitter writes gofmt-canonical source by construction,
+// so format.Source must return every generated file unchanged. The
+// matrix crosses every corpus source with every wire format, code
+// style, and emitter variant.
+func TestGeneratedGoIsGofmtCanonical(t *testing.T) {
+	variants := []struct {
+		name string
+		opts flick.Options
+	}{
+		{"marshal-only", flick.Options{}},
+		{"rpc", flick.Options{EmitRPC: true}},
+		{"skip-decls", flick.Options{EmitRPC: true, SkipDecls: true}},
+		{"sync,async,ctx", flick.Options{EmitRPC: true, Surfaces: "sync,async,ctx"}},
+		{"stream", flick.Options{EmitRPC: true, Surfaces: "stream"}},
+		{"surfaces-only", flick.Options{EmitRPC: true, Surfaces: "async", SurfacesOnly: true}},
+		{"zerocopy", flick.Options{EmitRPC: true, ZeroCopy: true}},
+		{"no-group", flick.Options{EmitRPC: true, DisableGroup: true}},
+		{"no-chunk", flick.Options{EmitRPC: true, DisableChunk: true}},
+		{"no-memcpy", flick.Options{EmitRPC: true, DisableMemcpy: true}},
+		{"no-inline", flick.Options{EmitRPC: true, DisableInline: true}},
+		{"server", flick.Options{EmitRPC: true, Side: "server"}},
+	}
+	n := 0
+	for _, in := range corpusSources(t) {
+		for _, format := range []string{"xdr", "cdr", "cdr-le", "mach3", "fluke"} {
+			for _, style := range []string{"flick", "rpcgen", "powerrpc"} {
+				for _, v := range variants {
+					if v.opts.ZeroCopy && style != "flick" {
+						continue // -zerocopy needs the flick style's memcpy
+					}
+					opts := v.opts
+					opts.Lang, opts.Format, opts.Style, opts.Package = "go", format, style, "p"
+					name := fmt.Sprintf("%s/%s/%s/%s", in.file, format, style, v.name)
+					out, err := flick.Compile(in.file, in.src, opts)
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+						continue
+					}
+					n++
+					checkGofmt(t, name, out)
+				}
+			}
+		}
+	}
+	t.Logf("%d generated files checked", n)
+}
+
+// checkGofmt reports the first line where gofmt would rewrite out.
+func checkGofmt(t *testing.T, name, out string) {
+	t.Helper()
+	want, err := format.Source([]byte(out))
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("%s: gofmt: %v", name, err)
+		return
 	}
-	if !strings.Contains(out, "DO NOT EDIT") {
-		t.Error("missing generated-code marker")
+	if bytes.Equal(want, []byte(out)) {
+		return
 	}
-	if strings.Count(out, "{") != strings.Count(out, "}") {
-		t.Error("unbalanced braces in generated code")
+	got, fmtd := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+	for i := range got {
+		if i >= len(fmtd) || got[i] != fmtd[i] {
+			var w string
+			if i < len(fmtd) {
+				w = fmtd[i]
+			}
+			t.Errorf("%s: not gofmt-canonical at line %d:\n got: %q\nwant: %q", name, i+1, got[i], w)
+			return
+		}
 	}
+	t.Errorf("%s: not gofmt-canonical: gofmt output is longer (%d vs %d lines)", name, len(fmtd), len(got))
 }
 
 func TestCompileAttributesAndInheritance(t *testing.T) {

@@ -167,7 +167,7 @@ type Operation struct {
 	// single reply. Stream operations take only in parameters, return a
 	// non-void result (the chunk type), and raise no exceptions.
 	Stream bool
-	Params     []Param
+	Params []Param
 	// Result is the return type; Void for none.
 	Result Type
 	// Raises names user exceptions the operation may raise.

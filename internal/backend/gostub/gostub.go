@@ -11,11 +11,16 @@
 //     per named type — the structure of rpcgen's xdr_* routines.
 //   - StylePowerRPC: rpcgen structure plus an extra indirection through a
 //     function table on every datum.
+//
+// Output is gofmt-canonical by construction: Generate parses it only to
+// reject invalid Go, and the root package's
+// TestGeneratedGoIsGofmtCanonical matrix is the contract.
 package gostub
 
 import (
 	"fmt"
-	"go/format"
+	"go/parser"
+	"go/token"
 	"strings"
 
 	"flick/internal/mir"
@@ -207,7 +212,9 @@ type emitter struct {
 }
 
 func (e *emitter) pf(format string, args ...any) {
-	e.b.WriteString(strings.Repeat("\t", e.indent))
+	for range e.indent {
+		e.b.WriteByte('\t')
+	}
 	fmt.Fprintf(e.b, format, args...)
 	e.b.WriteByte('\n')
 }
@@ -279,7 +286,12 @@ func (e *emitter) file(f *presc.File) (string, error) {
 	if e.usesMath {
 		out.WriteString("\t\"math\"\n")
 	}
-	out.WriteString("\n\t\"flick/rt\"\n)\n\n")
+	if e.usesContext || e.usesBinary || e.usesMath {
+		// Separate the standard-library group from flick/rt; gofmt
+		// drops the blank line when that group is empty.
+		out.WriteString("\n")
+	}
+	out.WriteString("\t\"flick/rt\"\n)\n\n")
 	if !e.cfg.SkipDecls && !e.cfg.SurfacesOnly {
 		out.WriteString("// ObjectKey is an opaque object reference.\ntype ObjectKey = []byte\n\n")
 		if decls, ok := f.Decls.(string); ok {
@@ -288,13 +300,15 @@ func (e *emitter) file(f *presc.File) (string, error) {
 	}
 	out.WriteString(body.String())
 	out.WriteString(e.subBuf.String())
-	formatted, err := format.Source([]byte(out.String()))
-	if err != nil {
-		// A formatting failure means the emitter produced invalid Go;
-		// surface the raw text for diagnosis.
-		return out.String(), fmt.Errorf("gostub: generated code does not parse: %w", err)
+	// Every function ends with a blank line; the file ends with one
+	// newline.
+	src := strings.TrimRight(out.String(), "\n") + "\n"
+	if _, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution); err != nil {
+		// The emitter produced invalid Go; surface the raw text for
+		// diagnosis.
+		return src, fmt.Errorf("gostub: generated code does not parse: %w", err)
 	}
-	return string(formatted), nil
+	return src, nil
 }
 
 // stubPrefix builds the generated function name prefix for a stub.

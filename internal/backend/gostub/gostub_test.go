@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"flick"
+	"flick/internal/backend/gostub"
+	"flick/internal/presc"
+	"flick/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -121,5 +124,20 @@ func TestStylesShareDeclarations(t *testing.T) {
 	}
 	if strings.Contains(skipped, "type AcctPoint struct") {
 		t.Error("SkipDecls ignored")
+	}
+}
+
+// TestGenerateRejectsInvalidGo pins the emitter's parse check: invalid
+// Go in the output is an error, not a file, and the raw text comes back
+// for diagnosis.
+func TestGenerateRejectsInvalidGo(t *testing.T) {
+	const bad = "type Broken struct {\n"
+	f := &presc.File{Name: "bad", Lang: "go", Presentation: "go", Decls: bad}
+	out, err := gostub.Generate(f, gostub.Config{Package: "p", Format: wire.XDR{}})
+	if err == nil || !strings.Contains(err.Error(), "generated code does not parse") {
+		t.Fatalf("err = %v, want a parse error", err)
+	}
+	if !strings.Contains(out, bad) {
+		t.Errorf("raw output not returned for diagnosis:\n%s", out)
 	}
 }

@@ -286,6 +286,19 @@ func (e *emitter) subArg(r mir.Ref) string {
 	return "&" + e.refExpr(r)
 }
 
+// lenExpr spells the wire length of counted value x, plus one for a
+// NUL terminator. gofmt spaces that "+" when the expression is a call's
+// only argument (lone) and packs it when it is one of several.
+func lenExpr(x string, nul, lone bool) string {
+	switch {
+	case !nul:
+		return fmt.Sprintf("uint32(len(%s))", x)
+	case lone:
+		return fmt.Sprintf("uint32(len(%s) + 1)", x)
+	}
+	return fmt.Sprintf("uint32(len(%s)+1)", x)
+}
+
 func (e *emitter) lenItem(op *mir.LenItem, dir mir.Dir) error {
 	x := e.refExpr(op.Val)
 	ct := ""
@@ -297,18 +310,14 @@ func (e *emitter) lenItem(op *mir.LenItem, dir mir.Dir) error {
 		if bounded {
 			e.pf("rt.CheckBound(len(%s), %d)", x, op.Bound)
 		}
-		src := fmt.Sprintf("uint32(len(%s))", x)
-		if op.Nul {
-			src = fmt.Sprintf("uint32(len(%s)+1)", x)
-		}
 		suffix := e.ord()
 		switch {
 		case e.vtbl:
-			e.pf("rt.Vtbl.P32%s(e, %s)", suffix, src)
+			e.pf("rt.Vtbl.P32%s(e, %s)", suffix, lenExpr(x, op.Nul, false))
 		case e.checked:
-			e.pf("rt.NPutU32%s(e, %s)", suffix, src)
+			e.pf("rt.NPutU32%s(e, %s)", suffix, lenExpr(x, op.Nul, false))
 		default:
-			e.pf("e.PutU32%s(%s)", suffix, src)
+			e.pf("e.PutU32%s(%s)", suffix, lenExpr(x, op.Nul, true))
 		}
 		return nil
 	}
@@ -614,11 +623,7 @@ func (e *emitter) chunkPut(b string, it mir.ChunkItem) error {
 		if it.Bound > 0 && it.Bound < uint64(0xFFFFFFFF) {
 			e.pf("rt.CheckBound(len(%s), %d)", x, it.Bound)
 		}
-		src := fmt.Sprintf("uint32(len(%s))", x)
-		if it.Nul {
-			src = fmt.Sprintf("uint32(len(%s)+1)", x)
-		}
-		e.pf("%s", e.binPut(window, b, it, src))
+		e.pf("%s", e.binPut(window, b, it, lenExpr(x, it.Nul, false)))
 	default:
 		v := e.convPut(it.Atom, it.Wire, e.refExpr(it.Val))
 		e.pf("%s", e.binPut(window, b, it, v))

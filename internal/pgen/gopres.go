@@ -113,13 +113,15 @@ func (g *GoPresentation) TypeFor(t aoi.Type) (string, error) {
 		g.addDecl(name, "")
 		var b strings.Builder
 		fmt.Fprintf(&b, "// %s presents IDL struct %s.\ntype %s struct {\n", name, t.Name, name)
+		var rows [][2]string
 		for _, f := range t.Fields {
 			ft, err := g.TypeFor(f.Type)
 			if err != nil {
 				return "", err
 			}
-			fmt.Fprintf(&b, "\t%s %s\n", GoField(f.Name), ft)
+			rows = append(rows, [2]string{GoField(f.Name), ft})
 		}
+		writeAligned(&b, rows)
 		b.WriteString("}\n")
 		g.decls[name] = b.String()
 		return name, nil
@@ -138,7 +140,7 @@ func (g *GoPresentation) TypeFor(t aoi.Type) (string, error) {
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "// %s presents IDL union %s; D selects the active arm.\ntype %s struct {\n", name, t.Name, name)
-		fmt.Fprintf(&b, "\tD %s\n", dt)
+		rows := [][2]string{{"D", dt}}
 		for _, c := range t.Cases {
 			if aoi.IsVoid(c.Field.Type) {
 				continue
@@ -147,8 +149,9 @@ func (g *GoPresentation) TypeFor(t aoi.Type) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			fmt.Fprintf(&b, "\t%s %s\n", GoField(c.Field.Name), ft)
+			rows = append(rows, [2]string{GoField(c.Field.Name), ft})
 		}
+		writeAligned(&b, rows)
 		b.WriteString("}\n")
 		g.decls[name] = b.String()
 		return name, nil
@@ -163,9 +166,11 @@ func (g *GoPresentation) TypeFor(t aoi.Type) (string, error) {
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "// %s presents IDL enum %s.\ntype %s uint32\n\nconst (\n", name, t.Name, name)
+		rows := make([][2]string, len(t.Members))
 		for i, m := range t.Members {
-			fmt.Fprintf(&b, "\t%s%s %s = %d\n", name, GoField(m), name, t.Values[i])
+			rows[i] = [2]string{name + GoField(m), fmt.Sprintf("%s = %d", name, t.Values[i])}
 		}
+		writeAligned(&b, rows)
 		b.WriteString(")\n")
 		g.addDecl(name, b.String())
 		return name, nil
@@ -454,17 +459,36 @@ func (g *GoPresentation) exceptionDecl(it *aoi.Interface, ex *aoi.Exception) (st
 	g.addDecl(name, "")
 	var b strings.Builder
 	fmt.Fprintf(&b, "// %s presents IDL exception %s::%s.\ntype %s struct {\n", name, it.Name, ex.Name, name)
+	var rows [][2]string
 	for _, f := range ex.Fields {
 		ft, err := g.TypeFor(f.Type)
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "\t%s %s\n", GoField(f.Name), ft)
+		rows = append(rows, [2]string{GoField(f.Name), ft})
 	}
+	writeAligned(&b, rows)
 	b.WriteString("}\n\n")
 	fmt.Fprintf(&b, "// Error implements the error interface.\nfunc (e *%s) Error() string { return %q }\n", name, it.Name+"::"+ex.Name)
 	g.decls[name] = b.String()
 	return name, nil
+}
+
+// writeAligned writes one-line declaration entries (struct fields, const
+// specs) with their second column aligned one space past the widest
+// first column, as gofmt aligns them.
+func writeAligned(b *strings.Builder, rows [][2]string) {
+	w := 0
+	for _, r := range rows {
+		w = max(w, len(r[0]))
+	}
+	for _, r := range rows {
+		b.WriteString("\t")
+		b.WriteString(r[0])
+		b.WriteString(strings.Repeat(" ", w-len(r[0])+1))
+		b.WriteString(r[1])
+		b.WriteString("\n")
+	}
 }
 
 // ExceptionTypeName returns the generated Go name of an exception.

@@ -269,7 +269,7 @@ func TestGoPresentationOfONC(t *testing.T) {
 		t.Fatalf("GenerateGo: %v", err)
 	}
 	src := pf.Decls.(string)
-	if !strings.Contains(src, "Next *Intlist") {
+	if !strings.Contains(src, "Next  *Intlist") {
 		t.Errorf("recursive decl missing:\n%s", src)
 	}
 	stub := pf.Stubs[0]

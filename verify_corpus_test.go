@@ -41,14 +41,12 @@ func corpusIDLs(t *testing.T) []string {
 	return files
 }
 
-// TestVerifyCorpusZeroFindings compiles every shipped IDL under every
-// wire format and code style with strict verification: the MINT, PRES-C,
-// and MIR verifiers must pass every stage of every pipeline with zero
-// findings. This is the "verifiers are on by default and the compiler's
-// own output satisfies its own invariants" guarantee.
-func TestVerifyCorpusZeroFindings(t *testing.T) {
-	// The repo ships no .defs file; cover the MIG pipeline inline.
-	type source struct{ file, src string }
+type source struct{ file, src string }
+
+// corpusSources returns the corpus as sources: an inline MIG subsystem
+// (the repo ships no .defs file) followed by every corpusIDLs file.
+func corpusSources(t *testing.T) []source {
+	t.Helper()
 	sources := []source{{"bench.defs", `
 		subsystem bench 2400;
 		routine send_ints(port : mach_port_t; v : array[] of int32_t);
@@ -60,7 +58,16 @@ func TestVerifyCorpusZeroFindings(t *testing.T) {
 		}
 		sources = append(sources, source{file, string(src)})
 	}
-	for _, in := range sources {
+	return sources
+}
+
+// TestVerifyCorpusZeroFindings compiles every shipped IDL under every
+// wire format and code style with strict verification: the MINT, PRES-C,
+// and MIR verifiers must pass every stage of every pipeline with zero
+// findings. This is the "verifiers are on by default and the compiler's
+// own output satisfies its own invariants" guarantee.
+func TestVerifyCorpusZeroFindings(t *testing.T) {
+	for _, in := range corpusSources(t) {
 		file, src := in.file, in.src
 		langs := []string{"go", "c"}
 		if strings.HasSuffix(file, ".defs") {
