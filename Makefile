@@ -1,15 +1,22 @@
-# Flick-Go build targets. `make ci` is the full gate: gofmt, vet, build, the
+# Flick-Go build targets. `make ci` is the full gate: gofmt, vet, build (the
+# root module and the perfbench benchmark module), the
 # flick-lint ownership analyzers, race-enabled tests (which include the
 # rt allocation guard), and the generated-stub drift check.
 
 GO ?= go
 
-.PHONY: all build fmt-check vet lint test test-race bench bench-rt chaos chaos-short fleet fleet-short trace trace-short stream stream-short zerocopy zerocopy-short drain drain-short bench-json generate generate-check stats ci
+.PHONY: all build bench-build fmt-check vet lint test test-race bench bench-rt chaos chaos-short fleet fleet-short trace trace-short stream stream-short zerocopy zerocopy-short drain drain-short bench-json generate generate-check stats ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# The benchmark harness is its own module (perfbench/go.mod), so
+# `go build ./...` at the root never compiles it; build and vet it
+# separately so an rt API change cannot break it silently.
+bench-build:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # Fail if any Go file (hand-written or generated) is not gofmt-canonical.
 fmt-check:
@@ -69,13 +76,13 @@ fleet-short:
 # Chrome export) plus the sampling-overhead report and the alloc guard
 # pinning the tracing-disabled call path. CI runs trace-short.
 trace:
-	$(GO) test -race -count=1 -run 'TestTraceSoak|TestTracePropagates|TestTracingDisabledAllocs' ./rt ./internal/experiment
+	$(GO) test -race -count=1 -run 'TestTraceSoak|TestTracePropagates|TestCallAllocsUnchanged' ./rt ./internal/experiment
 	$(GO) run ./cmd/flick-bench -exp trace
 
 # The CI-sized tracing gate: reduced soak under -race plus the
 # propagation and alloc-guard tests.
 trace-short:
-	$(GO) test -race -short -count=1 -run 'TestTraceSoak|TestTracePropagates|TestTracingDisabledAllocs|TestDupCachedResend|TestPoolFailoverKeepsTrace' ./rt ./internal/experiment
+	$(GO) test -race -short -count=1 -run 'TestTraceSoak|TestTracePropagates|TestCallAllocsUnchanged|TestDupCachedResend|TestPoolFailoverKeepsTrace' ./rt ./internal/experiment
 
 # The streaming gate: surface round-trips over all three generated
 # presentation surfaces, the credit-window invariants, the mid-transfer
@@ -143,4 +150,4 @@ stats:
 	$(GO) run ./cmd/flick-bench -exp pipeline
 	$(GO) run ./cmd/flick-stats -rounds 50
 
-ci: fmt-check vet build lint test-race generate-check
+ci: fmt-check vet build bench-build lint test-race generate-check

@@ -17,6 +17,9 @@ type Pair struct {
 	B int32
 }
 
+// CALCAddOp describes the add operation to the runtime.
+var CALCAddOp = rt.Op{Proc: 1, Name: "add", Idempotent: true}
+
 // MarshalCALCAddRequest encodes the message payload (fixed class, xdr).
 func MarshalCALCAddRequest(e *rt.Encoder, arg1 *Pair) {
 	e.Grow(8)
@@ -68,6 +71,9 @@ func UnmarshalCALCAddReply(d *rt.Decoder) (ret int32, err error) {
 		return
 	}
 }
+
+// CALCMulOp describes the mul operation to the runtime.
+var CALCMulOp = rt.Op{Proc: 2, Name: "mul", Idempotent: true}
 
 // MarshalCALCMulRequest encodes the message payload (fixed class, xdr).
 func MarshalCALCMulRequest(e *rt.Encoder, arg1 *Pair) {
@@ -137,7 +143,7 @@ func NewCALCClient(conn rt.Conn) *CALCClient {
 // Add invokes the add operation.
 func (c *CALCClient) Add(arg1 Pair) (ret int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "add", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &CALCAddOp, func(e *rt.Encoder) {
 		MarshalCALCAddRequest(e, &arg1)
 	})
 	if err != nil {
@@ -151,7 +157,7 @@ func (c *CALCClient) Add(arg1 Pair) (ret int32, err error) {
 // Mul invokes the mul operation.
 func (c *CALCClient) Mul(arg1 Pair) (ret int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(2, "mul", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &CALCMulOp, func(e *rt.Encoder) {
 		MarshalCALCMulRequest(e, &arg1)
 	})
 	if err != nil {

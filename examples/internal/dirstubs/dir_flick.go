@@ -33,6 +33,9 @@ type DirectoryNotFound struct {
 // Error implements the error interface.
 func (e *DirectoryNotFound) Error() string { return "Directory::NotFound" }
 
+// DirectoryListOp describes the list operation to the runtime.
+var DirectoryListOp = rt.Op{Proc: 0, Name: "list", Idempotent: true}
+
 // MarshalDirectoryListRequest encodes the message payload (bounded class, cdr-le).
 func MarshalDirectoryListRequest(e *rt.Encoder, path string) {
 	e.Grow(4101)
@@ -230,7 +233,7 @@ func NewDirectoryClient(conn rt.Conn) *DirectoryClient {
 // List invokes the list operation.
 func (c *DirectoryClient) List(path string) (ret []DirectoryDirEntry, total int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(0, "list", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &DirectoryListOp, func(e *rt.Encoder) {
 		MarshalDirectoryListRequest(e, path)
 	})
 	if err != nil {

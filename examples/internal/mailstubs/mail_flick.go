@@ -17,6 +17,9 @@ type MailRejected struct {
 // Error implements the error interface.
 func (e *MailRejected) Error() string { return "Mail::Rejected" }
 
+// MailSendOp describes the send operation to the runtime.
+var MailSendOp = rt.Op{Proc: 0, Name: "send"}
+
 // MarshalMailSendRequest encodes the message payload (unbounded class, xdr).
 func MarshalMailSendRequest(e *rt.Encoder, msg string) {
 	e.Grow(4)
@@ -72,6 +75,9 @@ func UnmarshalMailSendReply(d *rt.Decoder) (err error) {
 	}
 }
 
+// MailUnreadOp describes the unread operation to the runtime.
+var MailUnreadOp = rt.Op{Proc: 1, Name: "unread", Idempotent: true}
+
 // MarshalMailUnreadRequest encodes the message payload (fixed class, xdr).
 func MarshalMailUnreadRequest(e *rt.Encoder) {
 }
@@ -112,6 +118,9 @@ func UnmarshalMailUnreadReply(d *rt.Decoder) (ret int32, err error) {
 		return
 	}
 }
+
+// MailFetchOp describes the fetch operation to the runtime.
+var MailFetchOp = rt.Op{Proc: 2, Name: "fetch", Idempotent: true}
 
 // MarshalMailFetchRequest encodes the message payload (fixed class, xdr).
 func MarshalMailFetchRequest(e *rt.Encoder, idx int32) {
@@ -210,6 +219,9 @@ func UnmarshalMailFetchReply(d *rt.Decoder) (ret string, err error) {
 	}
 }
 
+// MailFlushOp describes the flush operation to the runtime.
+var MailFlushOp = rt.Op{Proc: 3, Name: "flush", Oneway: true}
+
 // MarshalMailFlushRequest encodes the message payload (fixed class, xdr).
 func MarshalMailFlushRequest(e *rt.Encoder) {
 }
@@ -236,7 +248,7 @@ func NewMailClient(conn rt.Conn) *MailClient {
 // Send invokes the send operation.
 func (c *MailClient) Send(msg string) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(0, "send", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &MailSendOp, func(e *rt.Encoder) {
 		MarshalMailSendRequest(e, msg)
 	})
 	if err != nil {
@@ -250,7 +262,7 @@ func (c *MailClient) Send(msg string) (err error) {
 // Unread invokes the unread operation.
 func (c *MailClient) Unread() (ret int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "unread", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &MailUnreadOp, func(e *rt.Encoder) {
 		MarshalMailUnreadRequest(e)
 	})
 	if err != nil {
@@ -264,7 +276,7 @@ func (c *MailClient) Unread() (ret int32, err error) {
 // Fetch invokes the fetch operation.
 func (c *MailClient) Fetch(idx int32) (ret string, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(2, "fetch", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &MailFetchOp, func(e *rt.Encoder) {
 		MarshalMailFetchRequest(e, idx)
 	})
 	if err != nil {
@@ -277,7 +289,7 @@ func (c *MailClient) Fetch(idx int32) (ret string, err error) {
 
 // Flush invokes the flush operation.
 func (c *MailClient) Flush() (err error) {
-	_, err = c.C.CallIdem(3, "flush", true, false, func(e *rt.Encoder) {
+	_, err = c.C.Do(nil, &MailFlushOp, func(e *rt.Encoder) {
 		MarshalMailFlushRequest(e)
 	})
 	if err != nil {

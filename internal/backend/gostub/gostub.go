@@ -73,8 +73,7 @@ type Config struct {
 	EmitRPC bool
 	// Surfaces selects the presentation surfaces emitted over the
 	// shared marshal core when EmitRPC is set, in order. Nil means
-	// sync only — the classic blocking presentation, byte-identical to
-	// the pre-surface emitter.
+	// sync only — the classic blocking presentation.
 	Surfaces []Surface
 	// SurfacesOnly emits only the surface shells (methods and their
 	// support types) for an interface whose marshal functions, client
@@ -335,6 +334,12 @@ func (e *emitter) stubFuncs(s *presc.Stub) (string, error) {
 
 	reqRoots := rootsOf(s.RequestParams(), nil)
 	repRoots := rootsOf(s.ReplyParams(), s.Result)
+
+	if e.cfg.EmitRPC {
+		// The operation's call descriptor: every surface's shell passes
+		// it to the runtime's single call path.
+		out.WriteString(opDecl(s, prefix))
+	}
 
 	// Request marshal.
 	src, err := e.marshalFunc("Marshal"+prefix+"Request", reqRoots)

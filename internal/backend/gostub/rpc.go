@@ -124,24 +124,52 @@ func callArgs(params []*presc.ParamPres) []string {
 	return out
 }
 
-func (e *emitter) clientMethod(clientType string, s *presc.Stub) error {
-	prefix := stubPrefix(s) + e.cfg.FuncSuffix
-	sig := s.CDecl.(string)
-	e.pf("// %s invokes the %s operation.", pgen.GoName(s.Op), s.Op)
-	e.pf("func (c *%s) %s {", clientType, sig)
-	e.indent++
-	reqArgs := append([]string{"e"}, callArgs(s.RequestParams())...)
-	// The idempotency flag rides from the IDL's //flick:idempotent
-	// annotation into the runtime's retry policy: only idempotent
-	// operations may be re-sent after an ambiguous failure.
+// opDecl renders the operation's package-level rt.Op descriptor: the
+// presentation facts (opcode, name, oneway, and the IDL's
+// //flick:idempotent annotation, which gates retries and hedging) the
+// runtime call path needs. False flags are left out.
+func opDecl(s *presc.Stub, prefix string) string {
+	fields := fmt.Sprintf("Proc: %d, Name: %q", s.OpCode, s.OpName)
 	if s.Oneway {
-		e.pf("_, err = c.C.CallIdem(%d, %q, true, %v, func(e *rt.Encoder) {", s.OpCode, s.OpName, s.Idempotent)
+		fields += ", Oneway: true"
+	}
+	if s.Idempotent {
+		fields += ", Idempotent: true"
+	}
+	return fmt.Sprintf("// %sOp describes the %s operation to the runtime.\nvar %sOp = rt.Op{%s}\n\n",
+		prefix, s.OpName, prefix, fields)
+}
+
+// callMethod renders one blocking client method: the sync surface's
+// <Op> (ctx false, passing a nil context) or the ctx surface's <Op>Ctx
+// (ctx true, a caller context ahead of the request parameters).
+func (e *emitter) callMethod(clientType string, s *presc.Stub, ctx bool) {
+	prefix := stubPrefix(s) + e.cfg.FuncSuffix
+	goOp := pgen.GoName(s.Op)
+	ctxArg := "nil"
+	if ctx {
+		e.usesContext = true
+		ctxArg = "ctx"
+		params := append([]string{"ctx context.Context"}, inParamDecls(s)...)
+		e.pf("// %sCtx invokes the %s operation under a caller context:", goOp, s.Op)
+		e.pf("// the context's deadline travels on the wire and bounds the")
+		e.pf("// server-side work, its trace is continued, and cancellation")
+		e.pf("// aborts the reply wait while a cancel frame releases the")
+		e.pf("// server-side work.")
+		e.pf("func (c *%s) %sCtx(%s) (%s) {", clientType, goOp, strings.Join(params, ", "), strings.Join(replyResultDecls(s), ", "))
 	} else {
-		e.pf("var d *rt.Decoder")
-		e.pf("d, err = c.C.CallIdem(%d, %q, false, %v, func(e *rt.Encoder) {", s.OpCode, s.OpName, s.Idempotent)
+		e.pf("// %s invokes the %s operation.", goOp, s.Op)
+		e.pf("func (c *%s) %s {", clientType, s.CDecl.(string))
 	}
 	e.indent++
-	e.pf("Marshal%sRequest(%s)", prefix, strings.Join(reqArgs, ", "))
+	if s.Oneway {
+		e.pf("_, err = c.C.Do(%s, &%sOp, func(e *rt.Encoder) {", ctxArg, prefix)
+	} else {
+		e.pf("var d *rt.Decoder")
+		e.pf("d, err = c.C.Do(%s, &%sOp, func(e *rt.Encoder) {", ctxArg, prefix)
+	}
+	e.indent++
+	e.pf("Marshal%sRequest(%s)", prefix, strings.Join(append([]string{"e"}, callArgs(s.RequestParams())...), ", "))
 	e.indent--
 	e.pf("})")
 	e.pf("if err != nil {")
@@ -149,32 +177,17 @@ func (e *emitter) clientMethod(clientType string, s *presc.Stub) error {
 	e.pf("return")
 	e.indent--
 	e.pf("}")
-	if s.Oneway {
-		e.pf("return")
-	} else {
-		var results []string
-		if s.Result != nil {
-			results = append(results, "ret")
-		}
-		for _, p := range s.ReplyParams() {
-			name := p.Name
-			if p.Role == presc.RoleBoth {
-				name += "Out"
-			}
-			results = append(results, name)
-		}
-		results = append(results, "err")
-		e.pf("%s = Unmarshal%sReply(d)", strings.Join(results, ", "), prefix)
+	if !s.Oneway {
+		e.pf("%s = Unmarshal%sReply(d)", strings.Join(replyResultNames(s), ", "), prefix)
 		// Pooled buffer-ownership contract: the reply decoder belongs
 		// to this call and goes back to the runtime pool once the
 		// results are unmarshaled (they never alias the wire buffer).
 		e.pf("d.Release()")
-		e.pf("return")
 	}
+	e.pf("return")
 	e.indent--
 	e.pf("}")
 	e.pf("")
-	return nil
 }
 
 func (e *emitter) dispatchFunc(base, serverIface string, stubs []*presc.Stub) error {

@@ -30,8 +30,7 @@ type Surface interface {
 }
 
 // DefaultSurfaces is the classic presentation: blocking sync stubs
-// only. A nil Config.Surfaces means exactly this, which is what keeps
-// the refactored emitter byte-identical for every pre-surface caller.
+// only. A nil Config.Surfaces means exactly this.
 func DefaultSurfaces() []Surface { return []Surface{SyncSurface{}} }
 
 // ParseSurfaces resolves a comma-separated surface list ("sync,async")
@@ -140,8 +139,8 @@ func replyResultNames(s *presc.Stub) []string {
 }
 
 // SyncSurface is the classic blocking presentation: one method per
-// operation, call-and-wait, reply decoded in the caller's frame. It is
-// the pre-refactor emitter output, byte for byte.
+// operation, call-and-wait over rt.Client.Do with a nil context, reply
+// decoded in the caller's frame.
 type SyncSurface struct{}
 
 func (SyncSurface) Name() string { return "sync" }
@@ -153,9 +152,7 @@ func (SyncSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stu
 			// presented by StreamSurface.
 			continue
 		}
-		if err := e.clientMethod(clientType, s); err != nil {
-			return err
-		}
+		e.callMethod(clientType, s, false)
 	}
 	return nil
 }
@@ -192,7 +189,7 @@ func (e *emitter) asyncMethod(clientType string, s *presc.Stub) {
 	e.pf("// the reply from the session's multiplexer.")
 	e.pf("func (c *%s) %sAsync(%s) *%s {", clientType, goOp, strings.Join(inParamDecls(s), ", "), promiseType)
 	e.indent++
-	e.pf("return &%s{p: c.C.CallAsync(%d, %q, %v, func(e *rt.Encoder) {", promiseType, s.OpCode, s.OpName, s.Idempotent)
+	e.pf("return &%s{p: c.C.Go(nil, &%sOp, func(e *rt.Encoder) {", promiseType, prefix)
 	e.indent++
 	e.pf("Marshal%sRequest(%s)", prefix, strings.Join(reqArgs, ", "))
 	e.indent--
@@ -238,8 +235,8 @@ func (e *emitter) asyncMethod(clientType string, s *presc.Stub) {
 // before dispatch), its trace context is continued, and its
 // cancellation aborts the reply wait — sending the cancel frame that
 // releases the server-side work. Stream operations are skipped (the
-// stream surface owns their shape; rt.Client.CallStreamCtx presents
-// them at the runtime layer).
+// stream surface owns their shape; rt.Client.Stream takes a ctx at the
+// runtime layer).
 type CtxSurface struct{}
 
 func (CtxSurface) Name() string { return "ctx" }
@@ -249,50 +246,9 @@ func (CtxSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub
 		if s.Stream {
 			continue
 		}
-		e.ctxMethod(clientType, s)
+		e.callMethod(clientType, s, true)
 	}
 	return nil
-}
-
-func (e *emitter) ctxMethod(clientType string, s *presc.Stub) {
-	e.usesContext = true
-	prefix := stubPrefix(s) + e.cfg.FuncSuffix
-	goOp := pgen.GoName(s.Op)
-	reqArgs := append([]string{"e"}, callArgs(s.RequestParams())...)
-	params := append([]string{"ctx context.Context"}, inParamDecls(s)...)
-
-	e.pf("// %sCtx invokes the %s operation under a caller context:", goOp, s.Op)
-	e.pf("// the context's deadline travels on the wire and bounds the")
-	e.pf("// server-side work, its trace is continued, and cancellation")
-	e.pf("// aborts the reply wait while a cancel frame releases the")
-	e.pf("// server-side work.")
-	e.pf("func (c *%s) %sCtx(%s) (%s) {", clientType, goOp, strings.Join(params, ", "), strings.Join(replyResultDecls(s), ", "))
-	e.indent++
-	if s.Oneway {
-		e.pf("_, err = c.C.CallIdemCtx(ctx, %d, %q, true, %v, func(e *rt.Encoder) {", s.OpCode, s.OpName, s.Idempotent)
-	} else {
-		e.pf("var d *rt.Decoder")
-		e.pf("d, err = c.C.CallIdemCtx(ctx, %d, %q, false, %v, func(e *rt.Encoder) {", s.OpCode, s.OpName, s.Idempotent)
-	}
-	e.indent++
-	e.pf("Marshal%sRequest(%s)", prefix, strings.Join(reqArgs, ", "))
-	e.indent--
-	e.pf("})")
-	e.pf("if err != nil {")
-	e.indent++
-	e.pf("return")
-	e.indent--
-	e.pf("}")
-	if s.Oneway {
-		e.pf("return")
-	} else {
-		e.pf("%s = Unmarshal%sReply(d)", strings.Join(replyResultNames(s), ", "), prefix)
-		e.pf("d.Release()")
-		e.pf("return")
-	}
-	e.indent--
-	e.pf("}")
-	e.pf("")
 }
 
 // StreamSurface is the server-push presentation for //flick:stream
@@ -340,7 +296,7 @@ func (e *emitter) streamMethod(clientType string, s *presc.Stub) {
 	e.pf("// backpressure).")
 	e.pf("func (c *%s) %sStream(%s) (*%s, error) {", clientType, goOp, strings.Join(params, ", "), streamType)
 	e.indent++
-	e.pf("st, err := c.C.CallStream(%d, %q, window, func(e *rt.Encoder) {", s.OpCode, s.OpName)
+	e.pf("st, err := c.C.Stream(nil, &%sOp, window, func(e *rt.Encoder) {", prefix)
 	e.indent++
 	e.pf("Marshal%sRequest(%s)", prefix, strings.Join(reqArgs, ", "))
 	e.indent--

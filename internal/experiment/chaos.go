@@ -183,7 +183,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			return nil, err
 		}
 		sumCall = func(v []int32) (int32, error) {
-			d, err := pool.CallIdem(3, "sum", false, true, func(e *rt.Encoder) {
+			d, err := pool.Do(nil, &ts.BenchSumXDROp, func(e *rt.Encoder) {
 				ts.MarshalBenchSumXDRRequest(e, v)
 			})
 			if err != nil {
@@ -194,7 +194,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			return ret, err
 		}
 		pingCall = func(nonce int32) {
-			pool.CallIdem(5, "ping", true, false, func(e *rt.Encoder) {
+			pool.Do(nil, &ts.BenchPingXDROp, func(e *rt.Encoder) {
 				ts.MarshalBenchPingXDRRequest(e, nonce)
 			})
 		}

@@ -218,7 +218,7 @@ func RunDrain(cfg DrainConfig) (*DrainResult, error) {
 					want += v[j]
 				}
 				local.Calls++
-				d, err := pool.CallIdem(3, "sum", false, true, func(e *rt.Encoder) {
+				d, err := pool.Do(nil, &ts.BenchSumXDROp, func(e *rt.Encoder) {
 					ts.MarshalBenchSumXDRRequest(e, v[:n])
 				})
 				var ret int32

@@ -152,9 +152,9 @@ func maxInt(a, b int) int {
 }
 
 // fleetSum issues one Sum call through the pool, exactly as a generated
-// stub would (CallIdem + release).
+// stub would (Do with the generated descriptor + release).
 func fleetSum(p *rt.ClientPool, v []int32) (int32, error) {
-	d, err := p.CallIdem(3, "sum", false, true, func(e *rt.Encoder) {
+	d, err := p.Do(nil, &ts.BenchSumXDROp, func(e *rt.Encoder) {
 		ts.MarshalBenchSumXDRRequest(e, v)
 	})
 	if err != nil {

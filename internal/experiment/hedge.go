@@ -143,7 +143,7 @@ func RunHedge(cfg HedgeConfig) (*HedgeResult, error) {
 					want += v[j]
 				}
 				t0 := time.Now()
-				d, err := pool.CallIdem(3, "sum", false, true, func(e *rt.Encoder) {
+				d, err := pool.Do(nil, &ts.BenchSumXDROp, func(e *rt.Encoder) {
 					ts.MarshalBenchSumXDRRequest(e, v[:n])
 				})
 				var ret int32

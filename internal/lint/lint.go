@@ -5,7 +5,7 @@
 // rt itself:
 //
 //   - releasecheck — every pooled *rt.Decoder obtained from a
-//     Call-shaped method (rt.Client.Call, rt.Promise.Wait,
+//     call-shaped method (rt.Client.Do, rt.Promise.Wait,
 //     rt.ClientStream.Recv, and compatible wrappers) is Released
 //     exactly once, never used after release, and never captured by a
 //     function literal outliving the borrow (the rt/pool.go contract:

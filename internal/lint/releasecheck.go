@@ -6,7 +6,7 @@ import (
 )
 
 // ReleaseCheck enforces the pooled-decoder ownership contract of
-// rt/pool.go on call sites: a *rt.Decoder obtained from a Call-shaped
+// rt/pool.go on call sites: a *rt.Decoder obtained from a call-shaped
 // method (two results: *rt.Decoder, error) is borrowed from the
 // decoder pool and must be
 //
@@ -86,7 +86,7 @@ func checkFuncReleases(pass *Pass, fn *ast.FuncDecl) {
 }
 
 // isDecoderCall reports whether call returns (*rt.Decoder, error) — the
-// pool-borrowing shape of rt.Client.Call and compatible wrappers.
+// pool-borrowing shape of rt.Client.Do and compatible wrappers.
 func isDecoderCall(pass *Pass, call *ast.CallExpr) bool {
 	tv, ok := pass.Info.Types[call]
 	if !ok {

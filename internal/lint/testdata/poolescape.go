@@ -10,7 +10,7 @@ type session struct {
 var globalDec *rt.Decoder
 
 func escapeToField(s *session, c *rt.Client) error {
-	d, err := c.Call(1, "op", false, func(e *rt.Encoder) {})
+	d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {})
 	if err != nil {
 		return err
 	}
@@ -20,7 +20,7 @@ func escapeToField(s *session, c *rt.Client) error {
 }
 
 func escapeToGlobal(c *rt.Client) error {
-	d, err := c.Call(1, "op", false, func(e *rt.Encoder) {})
+	d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {})
 	if err != nil {
 		return err
 	}
@@ -30,7 +30,7 @@ func escapeToGlobal(c *rt.Client) error {
 }
 
 func escapeToComposite(c *rt.Client) (*session, error) {
-	d, err := c.Call(1, "op", false, func(e *rt.Encoder) {})
+	d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {})
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +46,7 @@ func clearSlot(s *session) {
 
 // ok: local variables don't outlive the call.
 func localOnly(c *rt.Client) error {
-	d, err := c.Call(1, "op", false, func(e *rt.Encoder) {})
+	d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {})
 	if err != nil {
 		return err
 	}

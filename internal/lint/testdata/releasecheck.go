@@ -5,7 +5,7 @@ import "flick/rt"
 // ok: the canonical generated-stub shape — call, check error,
 // unmarshal, release, return.
 func wellBehaved(c *rt.Client) (v uint32, err error) {
-	d, err := c.Call(1, "op", false, func(e *rt.Encoder) {})
+	d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {})
 	if err != nil {
 		return
 	}
@@ -15,7 +15,7 @@ func wellBehaved(c *rt.Client) (v uint32, err error) {
 }
 
 func missingRelease(c *rt.Client) (uint32, error) {
-	d, err := c.Call(1, "op", false, func(e *rt.Encoder) {}) // want `pooled decoder d obtained here is never released`
+	d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {}) // want `pooled decoder d obtained here is never released`
 	if err != nil {
 		return 0, err
 	}
@@ -23,7 +23,7 @@ func missingRelease(c *rt.Client) (uint32, error) {
 }
 
 func doubleRelease(c *rt.Client) error {
-	d, err := c.Call(1, "op", false, func(e *rt.Encoder) {})
+	d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {})
 	if err != nil {
 		return err
 	}
@@ -33,7 +33,7 @@ func doubleRelease(c *rt.Client) error {
 }
 
 func useAfterRelease(c *rt.Client) (uint32, error) {
-	d, err := c.Call(1, "op", false, func(e *rt.Encoder) {})
+	d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {})
 	if err != nil {
 		return 0, err
 	}
@@ -42,7 +42,7 @@ func useAfterRelease(c *rt.Client) (uint32, error) {
 }
 
 func deferThenRelease(c *rt.Client) error {
-	d, err := c.Call(1, "op", false, func(e *rt.Encoder) {})
+	d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {})
 	if err != nil {
 		return err
 	}
@@ -54,7 +54,7 @@ func deferThenRelease(c *rt.Client) error {
 
 // ok: ownership transferred to the caller by returning the decoder.
 func transfersOwnership(c *rt.Client) (*rt.Decoder, error) {
-	d, err := c.Call(1, "op", false, func(e *rt.Encoder) {})
+	d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {})
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func methodCallIsNotABinding(p *rt.Promise) (uint32, error) {
 // the closure owns the decoder for its whole lifetime.
 func closureOwnsItsBorrow(c *rt.Client) func() (uint32, error) {
 	return func() (uint32, error) {
-		d, err := c.Call(1, "op", false, func(e *rt.Encoder) {})
+		d, err := c.Do(nil, &rt.Op{Proc: 1, Name: "op"}, func(e *rt.Encoder) {})
 		if err != nil {
 			return 0, err
 		}

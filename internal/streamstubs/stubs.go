@@ -17,6 +17,9 @@ type BlobChunk struct {
 	Data []byte
 }
 
+// BlobSizeOp describes the size operation to the runtime.
+var BlobSizeOp = rt.Op{Proc: 0, Name: "size", Idempotent: true}
+
 // MarshalBlobSizeRequest encodes the message payload (bounded class, xdr).
 func MarshalBlobSizeRequest(e *rt.Encoder, name string) {
 	e.Grow(262)
@@ -77,6 +80,9 @@ func UnmarshalBlobSizeReply(d *rt.Decoder) (ret uint32, err error) {
 		return
 	}
 }
+
+// BlobPutOp describes the put operation to the runtime.
+var BlobPutOp = rt.Op{Proc: 1, Name: "put"}
 
 // MarshalBlobPutRequest encodes the message payload (unbounded class, xdr).
 func MarshalBlobPutRequest(e *rt.Encoder, name string, data []byte) {
@@ -153,6 +159,9 @@ func UnmarshalBlobPutReply(d *rt.Decoder) (err error) {
 	}
 }
 
+// BlobFetchOp describes the fetch operation to the runtime.
+var BlobFetchOp = rt.Op{Proc: 2, Name: "fetch"}
+
 // MarshalBlobFetchRequest encodes the message payload (bounded class, xdr).
 func MarshalBlobFetchRequest(e *rt.Encoder, name string) {
 	e.Grow(262)
@@ -218,6 +227,9 @@ func UnmarshalBlobFetchChunk(d *rt.Decoder) (ret BlobChunk, err error) {
 	return
 }
 
+// BlobTouchOp describes the touch operation to the runtime.
+var BlobTouchOp = rt.Op{Proc: 3, Name: "touch", Oneway: true}
+
 // MarshalBlobTouchRequest encodes the message payload (fixed class, xdr).
 func MarshalBlobTouchRequest(e *rt.Encoder, nonce int32) {
 	e.Grow(4)
@@ -251,7 +263,7 @@ func NewBlobClient(conn rt.Conn) *BlobClient {
 // Size invokes the size operation.
 func (c *BlobClient) Size(name string) (ret uint32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(0, "size", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BlobSizeOp, func(e *rt.Encoder) {
 		MarshalBlobSizeRequest(e, name)
 	})
 	if err != nil {
@@ -265,7 +277,7 @@ func (c *BlobClient) Size(name string) (ret uint32, err error) {
 // Put invokes the put operation.
 func (c *BlobClient) Put(name string, data []byte) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "put", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BlobPutOp, func(e *rt.Encoder) {
 		MarshalBlobPutRequest(e, name, data)
 	})
 	if err != nil {
@@ -278,7 +290,7 @@ func (c *BlobClient) Put(name string, data []byte) (err error) {
 
 // Touch invokes the touch operation.
 func (c *BlobClient) Touch(nonce int32) (err error) {
-	_, err = c.C.CallIdem(3, "touch", true, false, func(e *rt.Encoder) {
+	_, err = c.C.Do(nil, &BlobTouchOp, func(e *rt.Encoder) {
 		MarshalBlobTouchRequest(e, nonce)
 	})
 	if err != nil {
@@ -292,7 +304,7 @@ func (c *BlobClient) Touch(nonce int32) (err error) {
 // method returns, and the promise resolves when Wait collects
 // the reply from the session's multiplexer.
 func (c *BlobClient) SizeAsync(name string) *BlobSizePromise {
-	return &BlobSizePromise{p: c.C.CallAsync(0, "size", true, func(e *rt.Encoder) {
+	return &BlobSizePromise{p: c.C.Go(nil, &BlobSizeOp, func(e *rt.Encoder) {
 		MarshalBlobSizeRequest(e, name)
 	})}
 }
@@ -322,7 +334,7 @@ func (pr *BlobSizePromise) Wait() (ret uint32, err error) {
 // method returns, and the promise resolves when Wait collects
 // the reply from the session's multiplexer.
 func (c *BlobClient) PutAsync(name string, data []byte) *BlobPutPromise {
-	return &BlobPutPromise{p: c.C.CallAsync(1, "put", false, func(e *rt.Encoder) {
+	return &BlobPutPromise{p: c.C.Go(nil, &BlobPutOp, func(e *rt.Encoder) {
 		MarshalBlobPutRequest(e, name, data)
 	})}
 }
@@ -352,7 +364,7 @@ func (pr *BlobPutPromise) Wait() (err error) {
 // server's first Send until Grant extends credit (pure
 // backpressure).
 func (c *BlobClient) FetchStream(name string, window int) (*BlobFetchStream, error) {
-	st, err := c.C.CallStream(2, "fetch", window, func(e *rt.Encoder) {
+	st, err := c.C.Stream(nil, &BlobFetchOp, window, func(e *rt.Encoder) {
 		MarshalBlobFetchRequest(e, name)
 	})
 	if err != nil {

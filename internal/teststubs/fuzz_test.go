@@ -73,7 +73,7 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	clientEnd, serverEnd := rt.Pipe()
 	s := rt.NewServer(rt.ONC{})
 	RegisterBenchXDR(s, impl)
-	go s.ServeConn(serverEnd)
+	serve(t, s, serverEnd)
 	defer clientEnd.Close()
 
 	r := rand.New(rand.NewSource(3))

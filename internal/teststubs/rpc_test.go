@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -56,12 +57,58 @@ func (b *benchImpl) Ping(nonce int32) (err error) {
 var _ BenchXDRServer = (*benchImpl)(nil)
 var _ BenchCDRServer = (*benchImpl)(nil)
 
+// serve runs s.ServeConn(conn) in the background until the test ends,
+// then closes conn and waits for ServeConn to return. Waiting matters:
+// the pooled-buffer counters are process-wide, and a server goroutine
+// still releasing decoders after its test ended would show up as a put
+// without a get in the next test's ReadPoolStats window.
+func serve(t *testing.T, s *rt.Server, conn rt.Conn) {
+	done := make(chan struct{})
+	go func() { defer close(done); s.ServeConn(conn) }()
+	t.Cleanup(func() { conn.Close(); <-done })
+}
+
+// serveListener is serve for every connection l accepts: the cleanup
+// closes the listener and the accepted connections and waits for each
+// ServeConn to return.
+func serveListener(t *testing.T, s *rt.Server, l rt.Listener) {
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		conns []rt.Conn
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() { defer wg.Done(); s.ServeConn(conn) }()
+		}
+	}()
+	t.Cleanup(func() {
+		l.Close()
+		mu.Lock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+}
+
 func startPipeServerXDR(t *testing.T, impl *benchImpl) rt.Conn {
 	t.Helper()
 	clientEnd, serverEnd := rt.Pipe()
 	s := rt.NewServer(rt.ONC{})
 	RegisterBenchXDR(s, impl)
-	go s.ServeConn(serverEnd)
+	serve(t, s, serverEnd)
 	t.Cleanup(func() { clientEnd.Close() })
 	return clientEnd
 }
@@ -121,7 +168,7 @@ func TestRPCOverTCP(t *testing.T) {
 	defer l.Close()
 	s := rt.NewServer(rt.ONC{})
 	RegisterBenchXDR(s, impl)
-	go s.Serve(l)
+	serveListener(t, s, l)
 
 	conn, err := rt.DialTCP(l.Addr())
 	if err != nil {
@@ -153,7 +200,7 @@ func TestRPCOverUDP(t *testing.T) {
 	defer serverConn.Close()
 	s := rt.NewServer(rt.ONC{})
 	RegisterBenchXDR(s, impl)
-	go s.ServeConn(serverConn)
+	serve(t, s, serverConn)
 
 	conn, err := rt.DialUDP(addr)
 	if err != nil {
@@ -174,7 +221,7 @@ func TestRPCOverPipeGIOP(t *testing.T) {
 	clientEnd, serverEnd := rt.Pipe()
 	s := rt.NewServer(rt.GIOP{Little: true})
 	RegisterBenchCDR(s, impl)
-	go s.ServeConn(serverEnd)
+	serve(t, s, serverEnd)
 	defer clientEnd.Close()
 
 	c := NewBenchCDRClient(clientEnd)
@@ -224,7 +271,7 @@ func TestRPCMachAndFluke(t *testing.T) {
 			clientEnd, serverEnd := rt.Pipe()
 			s := rt.NewServer(tc.proto)
 			tc.reg(s, impl)
-			go s.ServeConn(serverEnd)
+			serve(t, s, serverEnd)
 			defer clientEnd.Close()
 			c := tc.mk(clientEnd)
 			ret, err := c.Sum([]int32{4, 5})
@@ -239,7 +286,7 @@ func TestUnknownOperation(t *testing.T) {
 	impl := &benchImpl{}
 	c := startPipeServerXDR(t, impl)
 	cl := rt.NewClient(c, rt.ONC{})
-	_, err := cl.Call(99, "nope", false, func(e *rt.Encoder) {})
+	_, err := cl.Do(nil, &rt.Op{Proc: 99, Name: "nope"}, func(e *rt.Encoder) {})
 	if !errors.Is(err, rt.ErrSystem) {
 		t.Errorf("unknown op error = %v", err)
 	}
@@ -250,7 +297,7 @@ func TestMalformedArgumentsGetSystemError(t *testing.T) {
 	c := startPipeServerXDR(t, impl)
 	cl := rt.NewClient(c, rt.ONC{})
 	// send_dirs (proc 2) with a truncated payload.
-	_, err := cl.Call(2, "send_dirs", false, func(e *rt.Encoder) {
+	_, err := cl.Do(nil, &rt.Op{Proc: 2, Name: "send_dirs"}, func(e *rt.Encoder) {
 		e.Grow(4)
 		e.PutU32BE(5) // claims 5 entries, then nothing
 	})

@@ -8,6 +8,9 @@ import (
 	"flick/rt"
 )
 
+// BenchSendIntsCDROp describes the send_ints operation to the runtime.
+var BenchSendIntsCDROp = rt.Op{Proc: 0, Name: "send_ints"}
+
 // MarshalBenchSendIntsCDRRequest encodes the message payload (unbounded class, cdr-le).
 func MarshalBenchSendIntsCDRRequest(e *rt.Encoder, v []int32) {
 	e.Grow(4)
@@ -60,6 +63,9 @@ func UnmarshalBenchSendIntsCDRReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSendRectsCDROp describes the send_rects operation to the runtime.
+var BenchSendRectsCDROp = rt.Op{Proc: 1, Name: "send_rects"}
 
 // MarshalBenchSendRectsCDRRequest encodes the message payload (unbounded class, cdr-le).
 func MarshalBenchSendRectsCDRRequest(e *rt.Encoder, v []BenchRect) {
@@ -125,6 +131,9 @@ func UnmarshalBenchSendRectsCDRReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSendDirsCDROp describes the send_dirs operation to the runtime.
+var BenchSendDirsCDROp = rt.Op{Proc: 2, Name: "send_dirs"}
 
 // MarshalBenchSendDirsCDRRequest encodes the message payload (unbounded class, cdr-le).
 func MarshalBenchSendDirsCDRRequest(e *rt.Encoder, v []BenchDirEntry) {
@@ -215,6 +224,9 @@ func UnmarshalBenchSendDirsCDRReply(d *rt.Decoder) (err error) {
 	}
 }
 
+// BenchSumCDROp describes the sum operation to the runtime.
+var BenchSumCDROp = rt.Op{Proc: 3, Name: "sum", Idempotent: true}
+
 // MarshalBenchSumCDRRequest encodes the message payload (unbounded class, cdr-le).
 func MarshalBenchSumCDRRequest(e *rt.Encoder, v []int32) {
 	e.Grow(4)
@@ -295,6 +307,9 @@ func UnmarshalBenchSumCDRReply(d *rt.Decoder) (ret int32, err error) {
 		return
 	}
 }
+
+// BenchListDirCDROp describes the list_dir operation to the runtime.
+var BenchListDirCDROp = rt.Op{Proc: 4, Name: "list_dir", Idempotent: true}
 
 // MarshalBenchListDirCDRRequest encodes the message payload (bounded class, cdr-le).
 func MarshalBenchListDirCDRRequest(e *rt.Encoder, path string) {
@@ -421,6 +436,9 @@ func UnmarshalBenchListDirCDRReply(d *rt.Decoder) (ret []BenchDirEntry, total in
 	}
 }
 
+// BenchPingCDROp describes the ping operation to the runtime.
+var BenchPingCDROp = rt.Op{Proc: 5, Name: "ping", Oneway: true}
+
 // MarshalBenchPingCDRRequest encodes the message payload (fixed class, cdr-le).
 func MarshalBenchPingCDRRequest(e *rt.Encoder, nonce int32) {
 	e.Grow(4)
@@ -454,7 +472,7 @@ func NewBenchCDRClient(conn rt.Conn) *BenchCDRClient {
 // SendInts invokes the send_ints operation.
 func (c *BenchCDRClient) SendInts(v []int32) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(0, "send_ints", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendIntsCDROp, func(e *rt.Encoder) {
 		MarshalBenchSendIntsCDRRequest(e, v)
 	})
 	if err != nil {
@@ -468,7 +486,7 @@ func (c *BenchCDRClient) SendInts(v []int32) (err error) {
 // SendRects invokes the send_rects operation.
 func (c *BenchCDRClient) SendRects(v []BenchRect) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "send_rects", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendRectsCDROp, func(e *rt.Encoder) {
 		MarshalBenchSendRectsCDRRequest(e, v)
 	})
 	if err != nil {
@@ -482,7 +500,7 @@ func (c *BenchCDRClient) SendRects(v []BenchRect) (err error) {
 // SendDirs invokes the send_dirs operation.
 func (c *BenchCDRClient) SendDirs(v []BenchDirEntry) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(2, "send_dirs", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendDirsCDROp, func(e *rt.Encoder) {
 		MarshalBenchSendDirsCDRRequest(e, v)
 	})
 	if err != nil {
@@ -496,7 +514,7 @@ func (c *BenchCDRClient) SendDirs(v []BenchDirEntry) (err error) {
 // Sum invokes the sum operation.
 func (c *BenchCDRClient) Sum(v []int32) (ret int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(3, "sum", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSumCDROp, func(e *rt.Encoder) {
 		MarshalBenchSumCDRRequest(e, v)
 	})
 	if err != nil {
@@ -510,7 +528,7 @@ func (c *BenchCDRClient) Sum(v []int32) (ret int32, err error) {
 // ListDir invokes the list_dir operation.
 func (c *BenchCDRClient) ListDir(path string) (ret []BenchDirEntry, total int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(4, "list_dir", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchListDirCDROp, func(e *rt.Encoder) {
 		MarshalBenchListDirCDRRequest(e, path)
 	})
 	if err != nil {
@@ -523,7 +541,7 @@ func (c *BenchCDRClient) ListDir(path string) (ret []BenchDirEntry, total int32,
 
 // Ping invokes the ping operation.
 func (c *BenchCDRClient) Ping(nonce int32) (err error) {
-	_, err = c.C.CallIdem(5, "ping", true, false, func(e *rt.Encoder) {
+	_, err = c.C.Do(nil, &BenchPingCDROp, func(e *rt.Encoder) {
 		MarshalBenchPingCDRRequest(e, nonce)
 	})
 	if err != nil {

@@ -8,6 +8,9 @@ import (
 	"flick/rt"
 )
 
+// BenchSendIntsFlukeOp describes the send_ints operation to the runtime.
+var BenchSendIntsFlukeOp = rt.Op{Proc: 0, Name: "send_ints"}
+
 // MarshalBenchSendIntsFlukeRequest encodes the message payload (unbounded class, fluke).
 func MarshalBenchSendIntsFlukeRequest(e *rt.Encoder, v []int32) {
 	e.Grow(4)
@@ -60,6 +63,9 @@ func UnmarshalBenchSendIntsFlukeReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSendRectsFlukeOp describes the send_rects operation to the runtime.
+var BenchSendRectsFlukeOp = rt.Op{Proc: 1, Name: "send_rects"}
 
 // MarshalBenchSendRectsFlukeRequest encodes the message payload (unbounded class, fluke).
 func MarshalBenchSendRectsFlukeRequest(e *rt.Encoder, v []BenchRect) {
@@ -125,6 +131,9 @@ func UnmarshalBenchSendRectsFlukeReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSendDirsFlukeOp describes the send_dirs operation to the runtime.
+var BenchSendDirsFlukeOp = rt.Op{Proc: 2, Name: "send_dirs"}
 
 // MarshalBenchSendDirsFlukeRequest encodes the message payload (unbounded class, fluke).
 func MarshalBenchSendDirsFlukeRequest(e *rt.Encoder, v []BenchDirEntry) {
@@ -201,6 +210,9 @@ func UnmarshalBenchSendDirsFlukeReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSumFlukeOp describes the sum operation to the runtime.
+var BenchSumFlukeOp = rt.Op{Proc: 3, Name: "sum", Idempotent: true}
 
 // MarshalBenchSumFlukeRequest encodes the message payload (unbounded class, fluke).
 func MarshalBenchSumFlukeRequest(e *rt.Encoder, v []int32) {
@@ -282,6 +294,9 @@ func UnmarshalBenchSumFlukeReply(d *rt.Decoder) (ret int32, err error) {
 		return
 	}
 }
+
+// BenchListDirFlukeOp describes the list_dir operation to the runtime.
+var BenchListDirFlukeOp = rt.Op{Proc: 4, Name: "list_dir", Idempotent: true}
 
 // MarshalBenchListDirFlukeRequest encodes the message payload (bounded class, fluke).
 func MarshalBenchListDirFlukeRequest(e *rt.Encoder, path string) {
@@ -384,6 +399,9 @@ func UnmarshalBenchListDirFlukeReply(d *rt.Decoder) (ret []BenchDirEntry, total 
 	}
 }
 
+// BenchPingFlukeOp describes the ping operation to the runtime.
+var BenchPingFlukeOp = rt.Op{Proc: 5, Name: "ping", Oneway: true}
+
 // MarshalBenchPingFlukeRequest encodes the message payload (fixed class, fluke).
 func MarshalBenchPingFlukeRequest(e *rt.Encoder, nonce int32) {
 	e.Grow(4)
@@ -417,7 +435,7 @@ func NewBenchFlukeClient(conn rt.Conn) *BenchFlukeClient {
 // SendInts invokes the send_ints operation.
 func (c *BenchFlukeClient) SendInts(v []int32) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(0, "send_ints", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendIntsFlukeOp, func(e *rt.Encoder) {
 		MarshalBenchSendIntsFlukeRequest(e, v)
 	})
 	if err != nil {
@@ -431,7 +449,7 @@ func (c *BenchFlukeClient) SendInts(v []int32) (err error) {
 // SendRects invokes the send_rects operation.
 func (c *BenchFlukeClient) SendRects(v []BenchRect) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "send_rects", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendRectsFlukeOp, func(e *rt.Encoder) {
 		MarshalBenchSendRectsFlukeRequest(e, v)
 	})
 	if err != nil {
@@ -445,7 +463,7 @@ func (c *BenchFlukeClient) SendRects(v []BenchRect) (err error) {
 // SendDirs invokes the send_dirs operation.
 func (c *BenchFlukeClient) SendDirs(v []BenchDirEntry) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(2, "send_dirs", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendDirsFlukeOp, func(e *rt.Encoder) {
 		MarshalBenchSendDirsFlukeRequest(e, v)
 	})
 	if err != nil {
@@ -459,7 +477,7 @@ func (c *BenchFlukeClient) SendDirs(v []BenchDirEntry) (err error) {
 // Sum invokes the sum operation.
 func (c *BenchFlukeClient) Sum(v []int32) (ret int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(3, "sum", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSumFlukeOp, func(e *rt.Encoder) {
 		MarshalBenchSumFlukeRequest(e, v)
 	})
 	if err != nil {
@@ -473,7 +491,7 @@ func (c *BenchFlukeClient) Sum(v []int32) (ret int32, err error) {
 // ListDir invokes the list_dir operation.
 func (c *BenchFlukeClient) ListDir(path string) (ret []BenchDirEntry, total int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(4, "list_dir", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchListDirFlukeOp, func(e *rt.Encoder) {
 		MarshalBenchListDirFlukeRequest(e, path)
 	})
 	if err != nil {
@@ -486,7 +504,7 @@ func (c *BenchFlukeClient) ListDir(path string) (ret []BenchDirEntry, total int3
 
 // Ping invokes the ping operation.
 func (c *BenchFlukeClient) Ping(nonce int32) (err error) {
-	_, err = c.C.CallIdem(5, "ping", true, false, func(e *rt.Encoder) {
+	_, err = c.C.Do(nil, &BenchPingFlukeOp, func(e *rt.Encoder) {
 		MarshalBenchPingFlukeRequest(e, nonce)
 	})
 	if err != nil {

@@ -8,6 +8,9 @@ import (
 	"flick/rt"
 )
 
+// BenchSendIntsMachOp describes the send_ints operation to the runtime.
+var BenchSendIntsMachOp = rt.Op{Proc: 0, Name: "send_ints"}
+
 // MarshalBenchSendIntsMachRequest encodes the message payload (unbounded class, mach3).
 func MarshalBenchSendIntsMachRequest(e *rt.Encoder, v []int32) {
 	e.Grow(4)
@@ -60,6 +63,9 @@ func UnmarshalBenchSendIntsMachReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSendRectsMachOp describes the send_rects operation to the runtime.
+var BenchSendRectsMachOp = rt.Op{Proc: 1, Name: "send_rects"}
 
 // MarshalBenchSendRectsMachRequest encodes the message payload (unbounded class, mach3).
 func MarshalBenchSendRectsMachRequest(e *rt.Encoder, v []BenchRect) {
@@ -125,6 +131,9 @@ func UnmarshalBenchSendRectsMachReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSendDirsMachOp describes the send_dirs operation to the runtime.
+var BenchSendDirsMachOp = rt.Op{Proc: 2, Name: "send_dirs"}
 
 // MarshalBenchSendDirsMachRequest encodes the message payload (unbounded class, mach3).
 func MarshalBenchSendDirsMachRequest(e *rt.Encoder, v []BenchDirEntry) {
@@ -208,6 +217,9 @@ func UnmarshalBenchSendDirsMachReply(d *rt.Decoder) (err error) {
 	}
 }
 
+// BenchSumMachOp describes the sum operation to the runtime.
+var BenchSumMachOp = rt.Op{Proc: 3, Name: "sum", Idempotent: true}
+
 // MarshalBenchSumMachRequest encodes the message payload (unbounded class, mach3).
 func MarshalBenchSumMachRequest(e *rt.Encoder, v []int32) {
 	e.Grow(4)
@@ -288,6 +300,9 @@ func UnmarshalBenchSumMachReply(d *rt.Decoder) (ret int32, err error) {
 		return
 	}
 }
+
+// BenchListDirMachOp describes the list_dir operation to the runtime.
+var BenchListDirMachOp = rt.Op{Proc: 4, Name: "list_dir", Idempotent: true}
 
 // MarshalBenchListDirMachRequest encodes the message payload (bounded class, mach3).
 func MarshalBenchListDirMachRequest(e *rt.Encoder, path string) {
@@ -398,6 +413,9 @@ func UnmarshalBenchListDirMachReply(d *rt.Decoder) (ret []BenchDirEntry, total i
 	}
 }
 
+// BenchPingMachOp describes the ping operation to the runtime.
+var BenchPingMachOp = rt.Op{Proc: 5, Name: "ping", Oneway: true}
+
 // MarshalBenchPingMachRequest encodes the message payload (fixed class, mach3).
 func MarshalBenchPingMachRequest(e *rt.Encoder, nonce int32) {
 	e.Grow(4)
@@ -431,7 +449,7 @@ func NewBenchMachClient(conn rt.Conn) *BenchMachClient {
 // SendInts invokes the send_ints operation.
 func (c *BenchMachClient) SendInts(v []int32) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(0, "send_ints", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendIntsMachOp, func(e *rt.Encoder) {
 		MarshalBenchSendIntsMachRequest(e, v)
 	})
 	if err != nil {
@@ -445,7 +463,7 @@ func (c *BenchMachClient) SendInts(v []int32) (err error) {
 // SendRects invokes the send_rects operation.
 func (c *BenchMachClient) SendRects(v []BenchRect) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "send_rects", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendRectsMachOp, func(e *rt.Encoder) {
 		MarshalBenchSendRectsMachRequest(e, v)
 	})
 	if err != nil {
@@ -459,7 +477,7 @@ func (c *BenchMachClient) SendRects(v []BenchRect) (err error) {
 // SendDirs invokes the send_dirs operation.
 func (c *BenchMachClient) SendDirs(v []BenchDirEntry) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(2, "send_dirs", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendDirsMachOp, func(e *rt.Encoder) {
 		MarshalBenchSendDirsMachRequest(e, v)
 	})
 	if err != nil {
@@ -473,7 +491,7 @@ func (c *BenchMachClient) SendDirs(v []BenchDirEntry) (err error) {
 // Sum invokes the sum operation.
 func (c *BenchMachClient) Sum(v []int32) (ret int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(3, "sum", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSumMachOp, func(e *rt.Encoder) {
 		MarshalBenchSumMachRequest(e, v)
 	})
 	if err != nil {
@@ -487,7 +505,7 @@ func (c *BenchMachClient) Sum(v []int32) (ret int32, err error) {
 // ListDir invokes the list_dir operation.
 func (c *BenchMachClient) ListDir(path string) (ret []BenchDirEntry, total int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(4, "list_dir", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchListDirMachOp, func(e *rt.Encoder) {
 		MarshalBenchListDirMachRequest(e, path)
 	})
 	if err != nil {
@@ -500,7 +518,7 @@ func (c *BenchMachClient) ListDir(path string) (ret []BenchDirEntry, total int32
 
 // Ping invokes the ping operation.
 func (c *BenchMachClient) Ping(nonce int32) (err error) {
-	_, err = c.C.CallIdem(5, "ping", true, false, func(e *rt.Encoder) {
+	_, err = c.C.Do(nil, &BenchPingMachOp, func(e *rt.Encoder) {
 		MarshalBenchPingMachRequest(e, nonce)
 	})
 	if err != nil {

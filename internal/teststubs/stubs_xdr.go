@@ -43,6 +43,9 @@ type BenchBadSize struct {
 // Error implements the error interface.
 func (e *BenchBadSize) Error() string { return "Bench::BadSize" }
 
+// BenchSendIntsXDROp describes the send_ints operation to the runtime.
+var BenchSendIntsXDROp = rt.Op{Proc: 0, Name: "send_ints"}
+
 // MarshalBenchSendIntsXDRRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSendIntsXDRRequest(e *rt.Encoder, v []int32) {
 	e.Grow(4)
@@ -95,6 +98,9 @@ func UnmarshalBenchSendIntsXDRReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSendRectsXDROp describes the send_rects operation to the runtime.
+var BenchSendRectsXDROp = rt.Op{Proc: 1, Name: "send_rects"}
 
 // MarshalBenchSendRectsXDRRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSendRectsXDRRequest(e *rt.Encoder, v []BenchRect) {
@@ -160,6 +166,9 @@ func UnmarshalBenchSendRectsXDRReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSendDirsXDROp describes the send_dirs operation to the runtime.
+var BenchSendDirsXDROp = rt.Op{Proc: 2, Name: "send_dirs"}
 
 // MarshalBenchSendDirsXDRRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSendDirsXDRRequest(e *rt.Encoder, v []BenchDirEntry) {
@@ -243,6 +252,9 @@ func UnmarshalBenchSendDirsXDRReply(d *rt.Decoder) (err error) {
 	}
 }
 
+// BenchSumXDROp describes the sum operation to the runtime.
+var BenchSumXDROp = rt.Op{Proc: 3, Name: "sum", Idempotent: true}
+
 // MarshalBenchSumXDRRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSumXDRRequest(e *rt.Encoder, v []int32) {
 	e.Grow(4)
@@ -323,6 +335,9 @@ func UnmarshalBenchSumXDRReply(d *rt.Decoder) (ret int32, err error) {
 		return
 	}
 }
+
+// BenchListDirXDROp describes the list_dir operation to the runtime.
+var BenchListDirXDROp = rt.Op{Proc: 4, Name: "list_dir", Idempotent: true}
 
 // MarshalBenchListDirXDRRequest encodes the message payload (bounded class, xdr).
 func MarshalBenchListDirXDRRequest(e *rt.Encoder, path string) {
@@ -433,6 +448,9 @@ func UnmarshalBenchListDirXDRReply(d *rt.Decoder) (ret []BenchDirEntry, total in
 	}
 }
 
+// BenchPingXDROp describes the ping operation to the runtime.
+var BenchPingXDROp = rt.Op{Proc: 5, Name: "ping", Oneway: true}
+
 // MarshalBenchPingXDRRequest encodes the message payload (fixed class, xdr).
 func MarshalBenchPingXDRRequest(e *rt.Encoder, nonce int32) {
 	e.Grow(4)
@@ -466,7 +484,7 @@ func NewBenchXDRClient(conn rt.Conn) *BenchXDRClient {
 // SendInts invokes the send_ints operation.
 func (c *BenchXDRClient) SendInts(v []int32) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(0, "send_ints", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendIntsXDROp, func(e *rt.Encoder) {
 		MarshalBenchSendIntsXDRRequest(e, v)
 	})
 	if err != nil {
@@ -480,7 +498,7 @@ func (c *BenchXDRClient) SendInts(v []int32) (err error) {
 // SendRects invokes the send_rects operation.
 func (c *BenchXDRClient) SendRects(v []BenchRect) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "send_rects", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendRectsXDROp, func(e *rt.Encoder) {
 		MarshalBenchSendRectsXDRRequest(e, v)
 	})
 	if err != nil {
@@ -494,7 +512,7 @@ func (c *BenchXDRClient) SendRects(v []BenchRect) (err error) {
 // SendDirs invokes the send_dirs operation.
 func (c *BenchXDRClient) SendDirs(v []BenchDirEntry) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(2, "send_dirs", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendDirsXDROp, func(e *rt.Encoder) {
 		MarshalBenchSendDirsXDRRequest(e, v)
 	})
 	if err != nil {
@@ -508,7 +526,7 @@ func (c *BenchXDRClient) SendDirs(v []BenchDirEntry) (err error) {
 // Sum invokes the sum operation.
 func (c *BenchXDRClient) Sum(v []int32) (ret int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(3, "sum", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSumXDROp, func(e *rt.Encoder) {
 		MarshalBenchSumXDRRequest(e, v)
 	})
 	if err != nil {
@@ -522,7 +540,7 @@ func (c *BenchXDRClient) Sum(v []int32) (ret int32, err error) {
 // ListDir invokes the list_dir operation.
 func (c *BenchXDRClient) ListDir(path string) (ret []BenchDirEntry, total int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(4, "list_dir", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchListDirXDROp, func(e *rt.Encoder) {
 		MarshalBenchListDirXDRRequest(e, path)
 	})
 	if err != nil {
@@ -535,7 +553,7 @@ func (c *BenchXDRClient) ListDir(path string) (ret []BenchDirEntry, total int32,
 
 // Ping invokes the ping operation.
 func (c *BenchXDRClient) Ping(nonce int32) (err error) {
-	_, err = c.C.CallIdem(5, "ping", true, false, func(e *rt.Encoder) {
+	_, err = c.C.Do(nil, &BenchPingXDROp, func(e *rt.Encoder) {
 		MarshalBenchPingXDRRequest(e, nonce)
 	})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // method returns, and the promise resolves when Wait collects
 // the reply from the session's multiplexer.
 func (c *BenchXDRClient) SendIntsAsync(v []int32) *BenchSendIntsXDRPromise {
-	return &BenchSendIntsXDRPromise{p: c.C.CallAsync(0, "send_ints", false, func(e *rt.Encoder) {
+	return &BenchSendIntsXDRPromise{p: c.C.Go(nil, &BenchSendIntsXDROp, func(e *rt.Encoder) {
 		MarshalBenchSendIntsXDRRequest(e, v)
 	})}
 }
@@ -41,7 +41,7 @@ func (pr *BenchSendIntsXDRPromise) Wait() (err error) {
 // method returns, and the promise resolves when Wait collects
 // the reply from the session's multiplexer.
 func (c *BenchXDRClient) SendRectsAsync(v []BenchRect) *BenchSendRectsXDRPromise {
-	return &BenchSendRectsXDRPromise{p: c.C.CallAsync(1, "send_rects", false, func(e *rt.Encoder) {
+	return &BenchSendRectsXDRPromise{p: c.C.Go(nil, &BenchSendRectsXDROp, func(e *rt.Encoder) {
 		MarshalBenchSendRectsXDRRequest(e, v)
 	})}
 }
@@ -71,7 +71,7 @@ func (pr *BenchSendRectsXDRPromise) Wait() (err error) {
 // method returns, and the promise resolves when Wait collects
 // the reply from the session's multiplexer.
 func (c *BenchXDRClient) SendDirsAsync(v []BenchDirEntry) *BenchSendDirsXDRPromise {
-	return &BenchSendDirsXDRPromise{p: c.C.CallAsync(2, "send_dirs", false, func(e *rt.Encoder) {
+	return &BenchSendDirsXDRPromise{p: c.C.Go(nil, &BenchSendDirsXDROp, func(e *rt.Encoder) {
 		MarshalBenchSendDirsXDRRequest(e, v)
 	})}
 }
@@ -101,7 +101,7 @@ func (pr *BenchSendDirsXDRPromise) Wait() (err error) {
 // method returns, and the promise resolves when Wait collects
 // the reply from the session's multiplexer.
 func (c *BenchXDRClient) SumAsync(v []int32) *BenchSumXDRPromise {
-	return &BenchSumXDRPromise{p: c.C.CallAsync(3, "sum", true, func(e *rt.Encoder) {
+	return &BenchSumXDRPromise{p: c.C.Go(nil, &BenchSumXDROp, func(e *rt.Encoder) {
 		MarshalBenchSumXDRRequest(e, v)
 	})}
 }
@@ -131,7 +131,7 @@ func (pr *BenchSumXDRPromise) Wait() (ret int32, err error) {
 // method returns, and the promise resolves when Wait collects
 // the reply from the session's multiplexer.
 func (c *BenchXDRClient) ListDirAsync(path string) *BenchListDirXDRPromise {
-	return &BenchListDirXDRPromise{p: c.C.CallAsync(4, "list_dir", true, func(e *rt.Encoder) {
+	return &BenchListDirXDRPromise{p: c.C.Go(nil, &BenchListDirXDROp, func(e *rt.Encoder) {
 		MarshalBenchListDirXDRRequest(e, path)
 	})}
 }

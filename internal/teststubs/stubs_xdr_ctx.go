@@ -15,7 +15,7 @@ import (
 // server-side work.
 func (c *BenchXDRClient) SendIntsCtx(ctx context.Context, v []int32) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdemCtx(ctx, 0, "send_ints", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(ctx, &BenchSendIntsXDROp, func(e *rt.Encoder) {
 		MarshalBenchSendIntsXDRRequest(e, v)
 	})
 	if err != nil {
@@ -33,7 +33,7 @@ func (c *BenchXDRClient) SendIntsCtx(ctx context.Context, v []int32) (err error)
 // server-side work.
 func (c *BenchXDRClient) SendRectsCtx(ctx context.Context, v []BenchRect) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdemCtx(ctx, 1, "send_rects", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(ctx, &BenchSendRectsXDROp, func(e *rt.Encoder) {
 		MarshalBenchSendRectsXDRRequest(e, v)
 	})
 	if err != nil {
@@ -51,7 +51,7 @@ func (c *BenchXDRClient) SendRectsCtx(ctx context.Context, v []BenchRect) (err e
 // server-side work.
 func (c *BenchXDRClient) SendDirsCtx(ctx context.Context, v []BenchDirEntry) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdemCtx(ctx, 2, "send_dirs", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(ctx, &BenchSendDirsXDROp, func(e *rt.Encoder) {
 		MarshalBenchSendDirsXDRRequest(e, v)
 	})
 	if err != nil {
@@ -69,7 +69,7 @@ func (c *BenchXDRClient) SendDirsCtx(ctx context.Context, v []BenchDirEntry) (er
 // server-side work.
 func (c *BenchXDRClient) SumCtx(ctx context.Context, v []int32) (ret int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdemCtx(ctx, 3, "sum", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(ctx, &BenchSumXDROp, func(e *rt.Encoder) {
 		MarshalBenchSumXDRRequest(e, v)
 	})
 	if err != nil {
@@ -87,7 +87,7 @@ func (c *BenchXDRClient) SumCtx(ctx context.Context, v []int32) (ret int32, err 
 // server-side work.
 func (c *BenchXDRClient) ListDirCtx(ctx context.Context, path string) (ret []BenchDirEntry, total int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdemCtx(ctx, 4, "list_dir", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(ctx, &BenchListDirXDROp, func(e *rt.Encoder) {
 		MarshalBenchListDirXDRRequest(e, path)
 	})
 	if err != nil {
@@ -104,7 +104,7 @@ func (c *BenchXDRClient) ListDirCtx(ctx context.Context, path string) (ret []Ben
 // aborts the reply wait while a cancel frame releases the
 // server-side work.
 func (c *BenchXDRClient) PingCtx(ctx context.Context, nonce int32) (err error) {
-	_, err = c.C.CallIdemCtx(ctx, 5, "ping", true, false, func(e *rt.Encoder) {
+	_, err = c.C.Do(ctx, &BenchPingXDROp, func(e *rt.Encoder) {
 		MarshalBenchPingXDRRequest(e, nonce)
 	})
 	if err != nil {

@@ -6,6 +6,9 @@ import (
 	"flick/rt"
 )
 
+// BenchSendIntsXDRNaiveOp describes the send_ints operation to the runtime.
+var BenchSendIntsXDRNaiveOp = rt.Op{Proc: 0, Name: "send_ints"}
+
 // MarshalBenchSendIntsXDRNaiveRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSendIntsXDRNaiveRequest(e *rt.Encoder, v []int32) {
 	rt.NPutU32BE(e, uint32(len(v)))
@@ -52,6 +55,9 @@ func UnmarshalBenchSendIntsXDRNaiveReply(d *rt.Decoder) (err error) {
 	}
 }
 
+// BenchSendRectsXDRNaiveOp describes the send_rects operation to the runtime.
+var BenchSendRectsXDRNaiveOp = rt.Op{Proc: 1, Name: "send_rects"}
+
 // MarshalBenchSendRectsXDRNaiveRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSendRectsXDRNaiveRequest(e *rt.Encoder, v []BenchRect) {
 	xmXDRNaive_BenchRect(e, &v)
@@ -86,6 +92,9 @@ func UnmarshalBenchSendRectsXDRNaiveReply(d *rt.Decoder) (err error) {
 	}
 }
 
+// BenchSendDirsXDRNaiveOp describes the send_dirs operation to the runtime.
+var BenchSendDirsXDRNaiveOp = rt.Op{Proc: 2, Name: "send_dirs"}
+
 // MarshalBenchSendDirsXDRNaiveRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSendDirsXDRNaiveRequest(e *rt.Encoder, v []BenchDirEntry) {
 	xmXDRNaive_BenchDirEntry(e, &v)
@@ -119,6 +128,9 @@ func UnmarshalBenchSendDirsXDRNaiveReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSumXDRNaiveOp describes the sum operation to the runtime.
+var BenchSumXDRNaiveOp = rt.Op{Proc: 3, Name: "sum", Idempotent: true}
 
 // MarshalBenchSumXDRNaiveRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSumXDRNaiveRequest(e *rt.Encoder, v []int32) {
@@ -186,6 +198,9 @@ func UnmarshalBenchSumXDRNaiveReply(d *rt.Decoder) (ret int32, err error) {
 	}
 }
 
+// BenchListDirXDRNaiveOp describes the list_dir operation to the runtime.
+var BenchListDirXDRNaiveOp = rt.Op{Proc: 4, Name: "list_dir", Idempotent: true}
+
 // MarshalBenchListDirXDRNaiveRequest encodes the message payload (bounded class, xdr).
 func MarshalBenchListDirXDRNaiveRequest(e *rt.Encoder, path string) {
 	rt.CheckBound(len(path), 255)
@@ -245,6 +260,9 @@ func UnmarshalBenchListDirXDRNaiveReply(d *rt.Decoder) (ret []BenchDirEntry, tot
 	}
 }
 
+// BenchPingXDRNaiveOp describes the ping operation to the runtime.
+var BenchPingXDRNaiveOp = rt.Op{Proc: 5, Name: "ping", Oneway: true}
+
 // MarshalBenchPingXDRNaiveRequest encodes the message payload (fixed class, xdr).
 func MarshalBenchPingXDRNaiveRequest(e *rt.Encoder, nonce int32) {
 	rt.NPutU32BE(e, uint32(nonce))
@@ -273,7 +291,7 @@ func NewBenchXDRNaiveClient(conn rt.Conn) *BenchXDRNaiveClient {
 // SendInts invokes the send_ints operation.
 func (c *BenchXDRNaiveClient) SendInts(v []int32) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(0, "send_ints", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendIntsXDRNaiveOp, func(e *rt.Encoder) {
 		MarshalBenchSendIntsXDRNaiveRequest(e, v)
 	})
 	if err != nil {
@@ -287,7 +305,7 @@ func (c *BenchXDRNaiveClient) SendInts(v []int32) (err error) {
 // SendRects invokes the send_rects operation.
 func (c *BenchXDRNaiveClient) SendRects(v []BenchRect) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "send_rects", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendRectsXDRNaiveOp, func(e *rt.Encoder) {
 		MarshalBenchSendRectsXDRNaiveRequest(e, v)
 	})
 	if err != nil {
@@ -301,7 +319,7 @@ func (c *BenchXDRNaiveClient) SendRects(v []BenchRect) (err error) {
 // SendDirs invokes the send_dirs operation.
 func (c *BenchXDRNaiveClient) SendDirs(v []BenchDirEntry) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(2, "send_dirs", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendDirsXDRNaiveOp, func(e *rt.Encoder) {
 		MarshalBenchSendDirsXDRNaiveRequest(e, v)
 	})
 	if err != nil {
@@ -315,7 +333,7 @@ func (c *BenchXDRNaiveClient) SendDirs(v []BenchDirEntry) (err error) {
 // Sum invokes the sum operation.
 func (c *BenchXDRNaiveClient) Sum(v []int32) (ret int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(3, "sum", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSumXDRNaiveOp, func(e *rt.Encoder) {
 		MarshalBenchSumXDRNaiveRequest(e, v)
 	})
 	if err != nil {
@@ -329,7 +347,7 @@ func (c *BenchXDRNaiveClient) Sum(v []int32) (ret int32, err error) {
 // ListDir invokes the list_dir operation.
 func (c *BenchXDRNaiveClient) ListDir(path string) (ret []BenchDirEntry, total int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(4, "list_dir", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchListDirXDRNaiveOp, func(e *rt.Encoder) {
 		MarshalBenchListDirXDRNaiveRequest(e, path)
 	})
 	if err != nil {
@@ -342,7 +360,7 @@ func (c *BenchXDRNaiveClient) ListDir(path string) (ret []BenchDirEntry, total i
 
 // Ping invokes the ping operation.
 func (c *BenchXDRNaiveClient) Ping(nonce int32) (err error) {
-	_, err = c.C.CallIdem(5, "ping", true, false, func(e *rt.Encoder) {
+	_, err = c.C.Do(nil, &BenchPingXDRNaiveOp, func(e *rt.Encoder) {
 		MarshalBenchPingXDRNaiveRequest(e, nonce)
 	})
 	if err != nil {

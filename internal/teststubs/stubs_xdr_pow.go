@@ -6,6 +6,9 @@ import (
 	"flick/rt"
 )
 
+// BenchSendIntsXDRPowOp describes the send_ints operation to the runtime.
+var BenchSendIntsXDRPowOp = rt.Op{Proc: 0, Name: "send_ints"}
+
 // MarshalBenchSendIntsXDRPowRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSendIntsXDRPowRequest(e *rt.Encoder, v []int32) {
 	rt.Vtbl.P32BE(e, uint32(len(v)))
@@ -52,6 +55,9 @@ func UnmarshalBenchSendIntsXDRPowReply(d *rt.Decoder) (err error) {
 	}
 }
 
+// BenchSendRectsXDRPowOp describes the send_rects operation to the runtime.
+var BenchSendRectsXDRPowOp = rt.Op{Proc: 1, Name: "send_rects"}
+
 // MarshalBenchSendRectsXDRPowRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSendRectsXDRPowRequest(e *rt.Encoder, v []BenchRect) {
 	xmXDRPow_BenchRect(e, &v)
@@ -86,6 +92,9 @@ func UnmarshalBenchSendRectsXDRPowReply(d *rt.Decoder) (err error) {
 	}
 }
 
+// BenchSendDirsXDRPowOp describes the send_dirs operation to the runtime.
+var BenchSendDirsXDRPowOp = rt.Op{Proc: 2, Name: "send_dirs"}
+
 // MarshalBenchSendDirsXDRPowRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSendDirsXDRPowRequest(e *rt.Encoder, v []BenchDirEntry) {
 	xmXDRPow_BenchDirEntry(e, &v)
@@ -119,6 +128,9 @@ func UnmarshalBenchSendDirsXDRPowReply(d *rt.Decoder) (err error) {
 		return
 	}
 }
+
+// BenchSumXDRPowOp describes the sum operation to the runtime.
+var BenchSumXDRPowOp = rt.Op{Proc: 3, Name: "sum", Idempotent: true}
 
 // MarshalBenchSumXDRPowRequest encodes the message payload (unbounded class, xdr).
 func MarshalBenchSumXDRPowRequest(e *rt.Encoder, v []int32) {
@@ -186,6 +198,9 @@ func UnmarshalBenchSumXDRPowReply(d *rt.Decoder) (ret int32, err error) {
 	}
 }
 
+// BenchListDirXDRPowOp describes the list_dir operation to the runtime.
+var BenchListDirXDRPowOp = rt.Op{Proc: 4, Name: "list_dir", Idempotent: true}
+
 // MarshalBenchListDirXDRPowRequest encodes the message payload (bounded class, xdr).
 func MarshalBenchListDirXDRPowRequest(e *rt.Encoder, path string) {
 	rt.CheckBound(len(path), 255)
@@ -245,6 +260,9 @@ func UnmarshalBenchListDirXDRPowReply(d *rt.Decoder) (ret []BenchDirEntry, total
 	}
 }
 
+// BenchPingXDRPowOp describes the ping operation to the runtime.
+var BenchPingXDRPowOp = rt.Op{Proc: 5, Name: "ping", Oneway: true}
+
 // MarshalBenchPingXDRPowRequest encodes the message payload (fixed class, xdr).
 func MarshalBenchPingXDRPowRequest(e *rt.Encoder, nonce int32) {
 	rt.Vtbl.P32BE(e, uint32(nonce))
@@ -273,7 +291,7 @@ func NewBenchXDRPowClient(conn rt.Conn) *BenchXDRPowClient {
 // SendInts invokes the send_ints operation.
 func (c *BenchXDRPowClient) SendInts(v []int32) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(0, "send_ints", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendIntsXDRPowOp, func(e *rt.Encoder) {
 		MarshalBenchSendIntsXDRPowRequest(e, v)
 	})
 	if err != nil {
@@ -287,7 +305,7 @@ func (c *BenchXDRPowClient) SendInts(v []int32) (err error) {
 // SendRects invokes the send_rects operation.
 func (c *BenchXDRPowClient) SendRects(v []BenchRect) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "send_rects", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendRectsXDRPowOp, func(e *rt.Encoder) {
 		MarshalBenchSendRectsXDRPowRequest(e, v)
 	})
 	if err != nil {
@@ -301,7 +319,7 @@ func (c *BenchXDRPowClient) SendRects(v []BenchRect) (err error) {
 // SendDirs invokes the send_dirs operation.
 func (c *BenchXDRPowClient) SendDirs(v []BenchDirEntry) (err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(2, "send_dirs", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSendDirsXDRPowOp, func(e *rt.Encoder) {
 		MarshalBenchSendDirsXDRPowRequest(e, v)
 	})
 	if err != nil {
@@ -315,7 +333,7 @@ func (c *BenchXDRPowClient) SendDirs(v []BenchDirEntry) (err error) {
 // Sum invokes the sum operation.
 func (c *BenchXDRPowClient) Sum(v []int32) (ret int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(3, "sum", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchSumXDRPowOp, func(e *rt.Encoder) {
 		MarshalBenchSumXDRPowRequest(e, v)
 	})
 	if err != nil {
@@ -329,7 +347,7 @@ func (c *BenchXDRPowClient) Sum(v []int32) (ret int32, err error) {
 // ListDir invokes the list_dir operation.
 func (c *BenchXDRPowClient) ListDir(path string) (ret []BenchDirEntry, total int32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(4, "list_dir", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &BenchListDirXDRPowOp, func(e *rt.Encoder) {
 		MarshalBenchListDirXDRPowRequest(e, path)
 	})
 	if err != nil {
@@ -342,7 +360,7 @@ func (c *BenchXDRPowClient) ListDir(path string) (ret []BenchDirEntry, total int
 
 // Ping invokes the ping operation.
 func (c *BenchXDRPowClient) Ping(nonce int32) (err error) {
-	_, err = c.C.CallIdem(5, "ping", true, false, func(e *rt.Encoder) {
+	_, err = c.C.Do(nil, &BenchPingXDRPowOp, func(e *rt.Encoder) {
 		MarshalBenchPingXDRPowRequest(e, nonce)
 	})
 	if err != nil {

@@ -47,6 +47,9 @@ type Node struct {
 	Next *Node
 }
 
+// ZOOReorderXDROp describes the reorder operation to the runtime.
+var ZOOReorderXDROp = rt.Op{Proc: 1, Name: "reorder"}
+
 // MarshalZOOReorderXDRRequest encodes the message payload (bounded class, xdr).
 func MarshalZOOReorderXDRRequest(e *rt.Encoder, arg1 []Shape) {
 	e.Grow(4)
@@ -250,6 +253,9 @@ func UnmarshalZOOReorderXDRReply(d *rt.Decoder) (ret []Shape, err error) {
 		return
 	}
 }
+
+// ZOOReverseXDROp describes the reverse operation to the runtime.
+var ZOOReverseXDROp = rt.Op{Proc: 2, Name: "reverse"}
 
 // MarshalZOOReverseXDRRequest encodes the message payload (unbounded class, xdr).
 func MarshalZOOReverseXDRRequest(e *rt.Encoder, arg1 *Node) {
@@ -489,6 +495,9 @@ func UnmarshalZOOReverseXDRReply(d *rt.Decoder) (ret *Node, err error) {
 	}
 }
 
+// ZOOMixXDROp describes the mix operation to the runtime.
+var ZOOMixXDROp = rt.Op{Proc: 3, Name: "mix", Idempotent: true}
+
 // MarshalZOOMixXDRRequest encodes the message payload (fixed class, xdr).
 func MarshalZOOMixXDRRequest(e *rt.Encoder, arg1 Color, arg2 Color) {
 	e.Grow(8)
@@ -557,7 +566,7 @@ func NewZOOXDRClient(conn rt.Conn) *ZOOXDRClient {
 // Reorder invokes the reorder operation.
 func (c *ZOOXDRClient) Reorder(arg1 []Shape) (ret []Shape, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "reorder", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &ZOOReorderXDROp, func(e *rt.Encoder) {
 		MarshalZOOReorderXDRRequest(e, arg1)
 	})
 	if err != nil {
@@ -571,7 +580,7 @@ func (c *ZOOXDRClient) Reorder(arg1 []Shape) (ret []Shape, err error) {
 // Reverse invokes the reverse operation.
 func (c *ZOOXDRClient) Reverse(arg1 *Node) (ret *Node, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(2, "reverse", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &ZOOReverseXDROp, func(e *rt.Encoder) {
 		MarshalZOOReverseXDRRequest(e, arg1)
 	})
 	if err != nil {
@@ -585,7 +594,7 @@ func (c *ZOOXDRClient) Reverse(arg1 *Node) (ret *Node, err error) {
 // Mix invokes the mix operation.
 func (c *ZOOXDRClient) Mix(arg1 Color, arg2 Color) (ret Color, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(3, "mix", false, true, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &ZOOMixXDROp, func(e *rt.Encoder) {
 		MarshalZOOMixXDRRequest(e, arg1, arg2)
 	})
 	if err != nil {

@@ -9,6 +9,9 @@ import (
 // ObjectKey is an opaque object reference.
 type ObjectKey = []byte
 
+// StoreGetOp describes the get operation to the runtime.
+var StoreGetOp = rt.Op{Proc: 0, Name: "get"}
+
 // MarshalStoreGetRequest encodes the message payload (unbounded class, xdr).
 func MarshalStoreGetRequest(e *rt.Encoder, name string) {
 	e.Grow(4)
@@ -84,6 +87,9 @@ func UnmarshalStoreGetReply(d *rt.Decoder) (ret []byte, err error) {
 		return
 	}
 }
+
+// StorePutOp describes the put operation to the runtime.
+var StorePutOp = rt.Op{Proc: 1, Name: "put"}
 
 // MarshalStorePutRequest encodes the message payload (unbounded class, xdr).
 func MarshalStorePutRequest(e *rt.Encoder, name string, data []byte) {
@@ -183,7 +189,7 @@ func NewStoreClient(conn rt.Conn) *StoreClient {
 // Get invokes the get operation.
 func (c *StoreClient) Get(name string) (ret []byte, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(0, "get", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &StoreGetOp, func(e *rt.Encoder) {
 		MarshalStoreGetRequest(e, name)
 	})
 	if err != nil {
@@ -197,7 +203,7 @@ func (c *StoreClient) Get(name string) (ret []byte, err error) {
 // Put invokes the put operation.
 func (c *StoreClient) Put(name string, data []byte) (ret uint32, err error) {
 	var d *rt.Decoder
-	d, err = c.C.CallIdem(1, "put", false, false, func(e *rt.Encoder) {
+	d, err = c.C.Do(nil, &StorePutOp, func(e *rt.Encoder) {
 		MarshalStorePutRequest(e, name, data)
 	})
 	if err != nil {

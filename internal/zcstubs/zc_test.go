@@ -42,7 +42,10 @@ func (s *memStore) Put(name string, data []byte) (uint32, error) {
 }
 
 // startStore serves a memStore on loopback TCP and returns its address
-// and a shutdown func.
+// and a shutdown func that closes the listener and every accepted
+// connection and waits for their ServeConn goroutines to return, so no
+// server goroutine releases pooled buffers inside a later test's
+// ReadPoolStats window. The shutdown func is idempotent.
 func startStore(t *testing.T) (addr string, stop func()) {
 	t.Helper()
 	l, err := rt.ListenTCP("127.0.0.1:0")
@@ -51,8 +54,38 @@ func startStore(t *testing.T) (addr string, stop func()) {
 	}
 	s := rt.NewServer(rt.ONC{})
 	RegisterStore(s, newMemStore())
-	go s.Serve(l)
-	return l.Addr(), func() { l.Close() }
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		conns []rt.Conn
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() { defer wg.Done(); s.ServeConn(conn) }()
+		}
+	}()
+	var once sync.Once
+	return l.Addr(), func() {
+		once.Do(func() {
+			l.Close()
+			mu.Lock()
+			for _, conn := range conns {
+				conn.Close()
+			}
+			mu.Unlock()
+			wg.Wait()
+		})
+	}
 }
 
 func dialStore(t *testing.T, addr string) *StoreClient {

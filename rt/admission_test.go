@@ -107,7 +107,7 @@ func TestAdmissionFastReject(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(21) })
+			d, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(21) })
 			if err != nil {
 				t.Errorf("parked call failed: %v", err)
 				return
@@ -123,7 +123,7 @@ func TestAdmissionFastReject(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	_, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) })
+	_, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) })
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overloaded call returned %v, want ErrOverloaded", err)
 	}
@@ -139,7 +139,7 @@ func TestAdmissionFastReject(t *testing.T) {
 
 	// Capacity released at dispatch completion: the next call is admitted.
 	for deadline := time.Now().Add(2 * time.Second); ; {
-		d, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(3) })
+		d, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(3) })
 		if err == nil {
 			if d.Ensure(4) && d.U32BE() != 6 {
 				t.Error("wrong answer after recovery")
@@ -169,7 +169,7 @@ func TestAdmissionRetryRecovers(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(2) })
+		d, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(2) })
 		if err != nil {
 			t.Errorf("parked call: %v", err)
 			return
@@ -185,7 +185,7 @@ func TestAdmissionRetryRecovers(t *testing.T) {
 	// Unblock the parked call shortly; the non-idempotent retry loop
 	// must ride out the overload window and then succeed.
 	time.AfterFunc(20*time.Millisecond, func() { close(block) })
-	d, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(5) })
+	d, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(5) })
 	if err != nil {
 		t.Fatalf("call through transient overload: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestAdmissionOnewayShedSilently(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(2) })
+		d, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(2) })
 		if err == nil {
 			d.Release()
 		}
@@ -221,7 +221,7 @@ func TestAdmissionOnewayShedSilently(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	before := sm.AdmissionRejects.Load()
-	if _, err := c.Call(3, "note", true, func(e *Encoder) {}); err != nil {
+	if _, err := c.Do(nil, &Op{Proc: 3, Name: "note", Oneway: true}, func(e *Encoder) {}); err != nil {
 		t.Fatalf("oneway send: %v", err)
 	}
 	for deadline := time.Now().Add(2 * time.Second); sm.AdmissionRejects.Load() == before; {

@@ -19,7 +19,7 @@ import (
 // frame corruption — and subsequent replies may misparse. The client
 // poisons the session: every pending call returns this error; with a
 // Redial function configured the next call transparently reconnects,
-// otherwise every later Call fails too. The BadXIDs counter in an
+// otherwise every later call fails too. The BadXIDs counter in an
 // attached Metrics makes the condition visible to operators.
 var ErrBadXID = errors.New("rt: reply xid matches no pending call (connection desynchronized)")
 
@@ -30,7 +30,7 @@ var ErrBadXID = errors.New("rt: reply xid matches no pending call (connection de
 var ErrTimeout = errors.New("rt: call deadline exceeded")
 
 // ErrExpired reports a call the server shed because its propagated
-// deadline (the wire deadline annotation; see CallCtx) had already
+// deadline (the wire deadline annotation; see Client.Do) had already
 // passed before dispatch. The handler provably did not run, but
 // retrying is pointless — the end-to-end budget is spent — so the
 // error classifies as non-retryable.
@@ -184,8 +184,44 @@ func (s *session) isDraining() bool {
 	return s.draining
 }
 
+// Op is one operation's static call descriptor: the presentation facts
+// the IDL compiler knows at generation time. Generated stubs declare
+// one package-level Op per operation and pass its address to Do, Go,
+// or Stream, so the call path carries a single pointer instead of
+// positional flags.
+type Op struct {
+	// Proc is the operation code (the ONC procedure number; Mach and
+	// Fluke message ids).
+	Proc uint32
+	// Name is the operation name: GIOP's wire discriminator, and the
+	// label metrics and spans report.
+	Name string
+	// Oneway operations expect no reply: Do returns (nil, nil) as soon
+	// as the transport accepts the request.
+	Oneway bool
+	// Idempotent operations may be re-sent after an ambiguous failure
+	// (the IDL's //flick:idempotent annotation); it gates retries and
+	// hedging.
+	Idempotent bool
+}
+
+// invocation is one call's state, threaded by pointer down the call
+// path (invoke → settleAttempts → callOnce → beginAttempt/awaitAttempt,
+// and the pool's dispatch loop) and held by a Promise between issue and
+// Wait. Sync callers keep it on their stack: nothing on the path
+// retains the pointer, which TestCallAllocsUnchanged pins.
+type invocation struct {
+	ctx     context.Context
+	op      *Op
+	marshal func(*Encoder)
+	metrics *Metrics
+	// ct is the sampled call's (or pool root's) trace state; nil when
+	// unsampled.
+	ct *callTrace
+}
+
 // Client issues RPCs over one connection. Calls are multiplexed: any
-// number of goroutines may Call concurrently, each call is tagged with
+// number of goroutines may call Do concurrently, each call is tagged with
 // a fresh XID, and a dedicated reply-reader goroutine matches replies
 // to callers by XID, so replies may complete out of order (a pipelined
 // server is free to answer cheap requests before expensive ones).
@@ -213,37 +249,36 @@ type Client struct {
 	// Metrics, when non-nil, collects per-operation call/error counts,
 	// latency histograms, byte totals, encoder/decoder space-check
 	// counters, fault-tolerance counters (Retries, Reconnects,
-	// BreakerOpen, BreakerRejects), and the InFlight gauge. Hooks, when
-	// non-nil, receives one TraceEvent per call. Both must be set
-	// before the first Call and not changed after; nil (the default)
-	// costs one pointer test per call.
+	// BreakerOpen, BreakerRejects, ConnErrors), and the InFlight gauge.
+	// Set before the first call and do not change it after; nil (the
+	// default) costs one pointer test per call.
 	Metrics *Metrics
-	Hooks   TraceHook
 
 	// Tracer, when non-nil, head-samples calls at its SampleRate and
 	// records call/attempt spans (span.go); sampled calls carry the
 	// trace annotation on the wire so the server's dispatch span joins
 	// the same trace. With SampleRate 0 only failed calls are recorded
-	// (always-sample-on-error) and nothing is propagated. Must be set
-	// before the first Call; nil (the default) costs one pointer test
+	// (always-sample-on-error) and nothing is propagated; connection
+	// teardowns are always recorded as SpanConnError spans. Must be set
+	// before the first call; nil (the default) costs one pointer test
 	// per call and the unsampled path does not allocate.
 	Tracer *Tracer
 
-	// Shard labels this client's spans and connection-error trace
-	// events with its pool session index (set by ClientPool; 0 for
-	// direct clients). Set before the first Call.
+	// Shard labels this client's spans, connection-error spans
+	// included, with its pool session index (set by ClientPool; 0 for
+	// direct clients). Set before the first call.
 	Shard int
 
 	// Timeout, when positive, bounds each call attempt's wait for its
 	// reply. An attempt that times out returns ErrTimeout (retried
 	// under the Retry policy for idempotent operations); its late
 	// reply, if it ever arrives, is dropped without poisoning the
-	// connection. Set before the first Call.
+	// connection. Set before the first call.
 	Timeout time.Duration
 
 	// Retry, when non-nil, re-attempts failed calls that are safe to
 	// retry: idempotent operations, and calls whose request provably
-	// never reached the transport. Set before the first Call.
+	// never reached the transport. Set before the first call.
 	Retry *RetryPolicy
 
 	// Redial, when non-nil, reconnects a poisoned client: after a
@@ -251,12 +286,12 @@ type Client struct {
 	// session, the next call (or retry attempt) dials a fresh
 	// connection and carries on. In-flight calls on the dead session
 	// fail with the session's terminal error and are retried under the
-	// Retry policy if eligible. Set before the first Call.
+	// Retry policy if eligible. Set before the first call.
 	Redial func() (Conn, error)
 
 	// Breaker, when non-nil, sheds calls with ErrBreakerOpen after
 	// consecutive transport failures (see Breaker). Set before the
-	// first Call.
+	// first call.
 	Breaker *Breaker
 
 	xid    atomic.Uint32
@@ -278,7 +313,7 @@ func NewClient(conn Conn, proto Protocol) *Client {
 	}
 }
 
-// Close releases the connection. Calls still in flight — and any Call
+// Close releases the connection. Calls still in flight — and any call
 // issued afterwards — return ErrClosed deterministically rather than a
 // raw transport error. Close is idempotent.
 func (c *Client) Close() error {
@@ -386,70 +421,59 @@ func (c *Client) session(metrics *Metrics, ct *callTrace) (*session, error) {
 	return ns, nil
 }
 
-// Call performs one invocation: marshal writes the request payload into
-// a pooled encoder; the returned decoder is positioned at the reply
-// payload and owned by the caller, who must release it with
-// Decoder.Release after unmarshaling. Oneway calls return (nil, nil)
-// as soon as the transport accepts the request. Call is safe for
+// Do performs one invocation of op: marshal writes the request payload
+// into a pooled encoder; the returned decoder is positioned at the
+// reply payload and owned by the caller, who must release it with
+// Decoder.Release after unmarshaling. Oneway operations return (nil,
+// nil) as soon as the transport accepts the request. Do is safe for
 // concurrent use; calls proceed independently and may complete out of
-// order. Call treats the operation as non-idempotent; generated stubs
-// use CallIdem and pass the IDL's //flick:idempotent annotation.
-func (c *Client) Call(proc uint32, opName string, oneway bool, marshal func(*Encoder)) (*Decoder, error) {
-	return c.CallIdemCtx(nil, proc, opName, oneway, false, marshal)
-}
-
-// CallCtx is Call with a caller context, which participates in the
-// call three ways. Trace continuation: when ctx carries a sampled
-// TraceContext (a server handler forwarding via (*ReqHeader).Context,
-// or ContextWithTrace), the call joins that trace as a child span
-// instead of making a fresh sampling decision. Deadline propagation:
-// a ctx deadline bounds the wait for the reply and travels on the wire
-// as a deadline annotation, so the server inherits the remaining
-// budget and sheds expired work before dispatch (ErrExpired).
-// Cancellation: ctx.Done() aborts the call — before send, or during
-// the wait, in which case a best-effort cancel frame releases the
-// server-side work — classified as non-retryable context.Canceled /
-// context.DeadlineExceeded.
-func (c *Client) CallCtx(ctx context.Context, proc uint32, opName string, oneway bool, marshal func(*Encoder)) (*Decoder, error) {
-	return c.CallIdemCtx(ctx, proc, opName, oneway, false, marshal)
-}
-
-// CallIdem is Call with an explicit idempotency flag, which gates
-// retries: with a Retry policy attached, a failed attempt is re-sent
-// only when the operation is idempotent or the request provably never
-// reached the transport — otherwise the call fails fast with an error
-// matching ErrNotRetryable, because retrying might execute the
-// operation twice.
-func (c *Client) CallIdem(proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder)) (*Decoder, error) {
-	return c.CallIdemCtx(nil, proc, opName, oneway, idempotent, marshal)
-}
-
-// CallIdemCtx is CallIdem with a caller context for trace continuation
-// (see CallCtx). A nil ctx is allowed and means "no propagated trace".
-func (c *Client) CallIdemCtx(ctx context.Context, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder)) (*Decoder, error) {
-	metrics, hooks, tracer := c.Metrics, c.Hooks, c.Tracer
-	if metrics == nil && hooks == nil && tracer == nil {
-		// Fast path: observability disabled costs exactly the three nil
+// order.
+//
+// op.Idempotent gates retries: with a Retry policy attached, a failed
+// attempt is re-sent only when the operation is idempotent or the
+// request provably never reached the transport — otherwise the call
+// fails fast with an error matching ErrNotRetryable, because retrying
+// might execute the operation twice.
+//
+// A non-nil ctx participates three ways. Trace continuation: when ctx
+// carries a sampled TraceContext (a server handler forwarding via
+// (*ReqHeader).Context, or ContextWithTrace), the call joins that
+// trace as a child span instead of making a fresh sampling decision.
+// Deadline propagation: a ctx deadline bounds the wait for the reply
+// and travels on the wire as a deadline annotation, so the server
+// inherits the remaining budget and sheds expired work before dispatch
+// (ErrExpired). Cancellation: ctx.Done() aborts the call — before
+// send, or during the wait, in which case a best-effort cancel frame
+// releases the server-side work — classified as non-retryable
+// context.Canceled / context.DeadlineExceeded. A nil ctx means none of
+// these.
+func (c *Client) Do(ctx context.Context, op *Op, marshal func(*Encoder)) (*Decoder, error) {
+	inv := invocation{ctx: ctx, op: op, marshal: marshal, metrics: c.Metrics}
+	tracer := c.Tracer
+	if inv.metrics == nil && tracer == nil {
+		// Fast path: observability disabled costs exactly the two nil
 		// tests above (no timestamps, no per-call allocation beyond the
 		// transport's own).
-		return c.invoke(ctx, proc, opName, oneway, idempotent, marshal, nil, nil, nil)
+		return c.invoke(&inv)
 	}
-
-	var ev *TraceEvent
-	if hooks != nil {
-		ev = &TraceEvent{Kind: TraceClientCall, Op: opName, Proc: proc, OneWay: oneway}
-	}
-	var ct *callTrace
 	if tracer != nil {
 		// nil when the head declines to sample: the call proceeds with
 		// no tracing state and no wire annotation, allocation-free.
-		ct = startCallTrace(tracer, ctx, SpanClientCall, opName, c.Shard)
+		inv.ct = startCallTrace(tracer, ctx, SpanClientCall, op.Name, c.Shard)
 	}
 	begin := time.Now()
-	d, err := c.invoke(ctx, proc, opName, oneway, idempotent, marshal, ev, metrics, ct)
+	d, err := c.invoke(&inv)
+	c.observe(&inv, begin, d, err)
+	return d, err
+}
 
-	if metrics != nil {
-		op := metrics.Op(opName)
+// observe records one settled invocation: per-op metrics (calls,
+// errors, reply bytes, latency since begin) and the call span — or,
+// for an unsampled failure, the always-recorded error span (a lone
+// root with a never-propagated trace ID).
+func (c *Client) observe(inv *invocation, begin time.Time, d *Decoder, err error) {
+	if metrics := inv.metrics; metrics != nil {
+		op := metrics.Op(inv.op.Name)
 		op.Calls.Add(1)
 		if d != nil {
 			op.RepBytes.Add(uint64(d.Size()))
@@ -457,33 +481,18 @@ func (c *Client) CallIdemCtx(ctx context.Context, proc uint32, opName string, on
 		if err != nil {
 			op.Errors.Add(1)
 		}
-		if oneway {
+		if inv.op.Oneway {
 			metrics.Oneways.Add(1)
 		}
 		op.Latency.Observe(time.Since(begin))
 	}
-	if hooks != nil {
-		ev.Begin = begin
-		ev.End = time.Now()
-		if d != nil {
-			ev.RepBytes = d.Size()
-			if hooks.WantWire() {
-				ev.RepWire = append([]byte(nil), d.buf...)
-			}
-		}
-		ev.Err = err
-		hooks.Trace(ev)
-	}
-	if tracer != nil {
-		if ct != nil {
-			ct.finish(err)
+	if tracer := c.Tracer; tracer != nil {
+		if inv.ct != nil {
+			inv.ct.finish(err)
 		} else if err != nil {
-			// Always-sample-on-error: an unsampled failure is still
-			// recorded, as a lone root with a never-propagated trace ID.
-			recordErrorSpan(tracer, SpanClientCall, opName, c.Shard, begin, err)
+			recordErrorSpan(tracer, SpanClientCall, inv.op.Name, c.Shard, begin, err)
 		}
 	}
-	return d, err
 }
 
 // invoke runs the resilience loop around single call attempts. Without
@@ -491,22 +500,22 @@ func (c *Client) CallIdemCtx(ctx context.Context, proc uint32, opName string, on
 // unwrapped, zero added cost). With them it classifies each failure,
 // paces re-attempts with the policy's jittered backoff inside the
 // optional per-call budget, and keeps the breaker posted.
-func (c *Client) invoke(ctx context.Context, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder), ev *TraceEvent, metrics *Metrics, ct *callTrace) (*Decoder, error) {
+func (c *Client) invoke(inv *invocation) (*Decoder, error) {
 	if c.Retry == nil && c.Redial == nil && c.Breaker == nil {
-		d, err, _ := c.callOnce(ctx, proc, opName, oneway, marshal, ev, metrics, ct)
+		d, err, _ := c.callOnce(inv)
 		return d, err
 	}
 
 	if b := c.Breaker; b != nil && !b.allow() {
-		if metrics != nil {
-			metrics.BreakerRejects.Add(1)
+		if inv.metrics != nil {
+			inv.metrics.BreakerRejects.Add(1)
 		}
-		ct.event("breaker-reject", "call shed, breaker open")
+		inv.ct.event("breaker-reject", "call shed, breaker open")
 		return nil, ErrBreakerOpen
 	}
 
-	d, err, sent := c.callOnce(ctx, proc, opName, oneway, marshal, ev, metrics, ct)
-	return c.settleAttempts(ctx, d, err, sent, proc, opName, oneway, idempotent, marshal, ev, metrics, ct)
+	d, err, sent := c.callOnce(inv)
+	return c.settleAttempts(inv, d, err, sent)
 }
 
 // settleAttempts classifies the outcome of an already-made first
@@ -519,7 +528,8 @@ func (c *Client) invoke(ctx context.Context, proc uint32, opName string, oneway,
 // set, bounds the re-attempt phase (it opens when settling begins, so
 // an async caller's think time between issue and Wait is not charged
 // against it).
-func (c *Client) settleAttempts(ctx context.Context, d *Decoder, err error, sent bool, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder), ev *TraceEvent, metrics *Metrics, ct *callTrace) (*Decoder, error) {
+func (c *Client) settleAttempts(inv *invocation, d *Decoder, err error, sent bool) (*Decoder, error) {
+	ctx, metrics, ct := inv.ctx, inv.metrics, inv.ct
 	attempts := 1
 	if c.Retry != nil {
 		attempts = c.Retry.attempts()
@@ -551,7 +561,7 @@ func (c *Client) settleAttempts(ctx context.Context, d *Decoder, err error, sent
 				// The caller gave up mid-backoff: no further attempts.
 				return nil, notRetryable(ctx.Err())
 			}
-			d, err, sent = c.callOnce(ctx, proc, opName, oneway, marshal, ev, metrics, ct)
+			d, err, sent = c.callOnce(inv)
 		}
 		if err == nil {
 			if c.Breaker != nil {
@@ -612,7 +622,7 @@ func (c *Client) settleAttempts(ctx context.Context, d *Decoder, err error, sent
 				ct.event("breaker-open", "consecutive failures tripped the breaker")
 			}
 		}
-		if !idempotent && sent {
+		if !inv.op.Idempotent && sent {
 			// The request may have reached the server; re-sending a
 			// non-idempotent operation could execute it twice.
 			return nil, notRetryable(err)
@@ -628,99 +638,66 @@ func (c *Client) settleAttempts(ctx context.Context, d *Decoder, err error, sent
 	return nil, retryable(lastErr)
 }
 
-// callOnce is one attempt (see callAttempt). When the call is sampled
-// (ct non-nil) it wraps the attempt in a SpanAttempt child span whose
-// ID is the one propagated in the wire annotation, so the server-side
-// dispatch span parents to exactly the attempt that carried it.
-func (c *Client) callOnce(ctx context.Context, proc uint32, opName string, oneway bool, marshal func(*Encoder), ev *TraceEvent, metrics *Metrics, ct *callTrace) (dec *Decoder, err error, sent bool) {
-	if ct == nil {
-		return c.callAttempt(ctx, proc, opName, oneway, marshal, ev, metrics, nil, 0)
+// callOnce is one attempt: the transmit half (beginAttempt) and, for a
+// two-way call, the bounded wait for the matched reply (awaitAttempt).
+// sent reports whether the request may have reached the peer (false
+// only when it provably did not: registration failed, or the transport
+// refused the whole message deterministically). When the call is
+// sampled the attempt is a SpanAttempt child span whose ID is the one
+// propagated in the wire annotation, so the server-side dispatch span
+// parents to exactly the attempt that carried it.
+func (c *Client) callOnce(inv *invocation) (dec *Decoder, err error, sent bool) {
+	inv.ct.startAttempt()
+	s, ca, xid, err, sent := c.beginAttempt(inv)
+	if err == nil && ca != nil {
+		dec, err = c.awaitAttempt(inv, s, ca, xid)
 	}
-	attemptID := ct.tr.nextID()
-	begin := time.Now()
-	dec, err, sent = c.callAttempt(ctx, proc, opName, oneway, marshal, ev, metrics, ct, attemptID)
-	sp := &Span{
-		Trace: ct.tc.TraceID, ID: attemptID, Parent: ct.tc.SpanID,
-		Kind: SpanAttempt, Op: opName, XID: ct.lastXID, Sess: ct.shard,
-		Start: begin, Dur: time.Since(begin), Sampled: true,
-	}
-	if err != nil {
-		sp.Err = err.Error()
-	}
-	ct.tr.record(sp)
+	inv.ct.endAttempt(err)
 	return dec, err, sent
 }
 
-// callAttempt is one attempt: session acquisition (redialing if
-// needed), marshal, register-before-send, transmit, and the bounded
-// wait for the matched reply. sent reports whether the request may have
-// reached the peer (false only when it provably did not: registration
-// failed, or the transport refused the whole message
-// deterministically). ev, when non-nil, receives the request byte
-// count, the XID, the post-transmit timestamp, and (behind WantWire)
-// the raw request. metrics, when non-nil, receives the request byte
-// total and the drained encoder/decoder counters. ct, when non-nil,
-// marks the attempt sampled: the request is prefixed with the trace
-// annotation carrying attemptID.
-func (c *Client) callAttempt(ctx context.Context, proc uint32, opName string, oneway bool, marshal func(*Encoder), ev *TraceEvent, metrics *Metrics, ct *callTrace, attemptID uint64) (dec *Decoder, err error, sent bool) {
-	s, ca, xid, err, sent := c.beginAttempt(ctx, proc, opName, oneway, marshal, ev, metrics, ct, attemptID)
-	if err != nil || ca == nil {
-		// Failed before a reply could be owed, or oneway success.
-		return nil, err, sent
-	}
-	dec, err = c.awaitAttempt(ctx, s, ca, xid, metrics)
-	return dec, err, true
-}
-
-// beginAttempt is the transmit half of one attempt: session acquisition
-// (redialing if needed), marshal, register-before-send, and transmit.
-// On success for a two-way call it returns the session and registered
-// call slot for awaitAttempt to claim; for a oneway call it returns a
-// nil slot (nothing is owed). It is split from awaitAttempt so the
-// async path can transmit many requests before collecting any reply —
-// the returned slot is exactly what a Promise holds.
-func (c *Client) beginAttempt(ctx context.Context, proc uint32, opName string, oneway bool, marshal func(*Encoder), ev *TraceEvent, metrics *Metrics, ct *callTrace, attemptID uint64) (s *session, ca *call, xid uint32, err error, sent bool) {
+// prepare is the front half every request shares (calls, promises,
+// and streams): honor ctx before spending any work — a canceled or
+// already-expired context provably never reaches the wire — acquire
+// the session (redialing if needed), and marshal the request into a
+// pooled encoder behind the deadline and trace annotations. The caller
+// owns the returned encoder.
+func (c *Client) prepare(inv *invocation) (s *session, enc *Encoder, xid uint32, err error) {
 	if c.closed.Load() {
-		return nil, nil, 0, ErrClosed, false
+		return nil, nil, 0, ErrClosed
 	}
-	var ctxDone <-chan struct{}
 	var budget time.Duration
 	hasBudget := false
-	if ctx != nil {
-		// Honor ctx before spending any work on the attempt: a canceled
-		// or already-expired context provably never reaches the wire.
-		ctxDone = ctx.Done()
+	if ctx := inv.ctx; ctx != nil {
 		select {
-		case <-ctxDone:
-			return nil, nil, 0, ctx.Err(), false
+		case <-ctx.Done():
+			return nil, nil, 0, ctx.Err()
 		default:
 		}
 		if dl, ok := ctx.Deadline(); ok {
 			budget = time.Until(dl)
 			hasBudget = true
 			if budget <= 0 {
-				return nil, nil, 0, context.DeadlineExceeded, false
+				return nil, nil, 0, context.DeadlineExceeded
 			}
 		}
 	}
+	metrics, ct := inv.metrics, inv.ct
 	s, err = c.session(metrics, ct)
 	if err != nil {
-		return nil, nil, 0, err, false
+		return nil, nil, 0, err
 	}
 	xid = c.xid.Add(1)
 	h := ReqHeader{
 		XID:       xid,
 		Prog:      c.Prog,
 		Vers:      c.Vers,
-		Proc:      proc,
-		OpName:    opName,
+		Proc:      inv.op.Proc,
+		OpName:    inv.op.Name,
 		ObjectKey: c.ObjectKey,
-		OneWay:    oneway,
+		OneWay:    inv.op.Oneway,
 	}
-	if ct != nil {
-		ct.lastXID = xid
-	}
-	enc := getEncoder()
+	enc = getEncoder()
 	if metrics != nil {
 		enc.EnableStats(true)
 	}
@@ -736,45 +713,63 @@ func (c *Client) beginAttempt(ctx context.Context, proc uint32, opName string, o
 		// The annotation precedes the protocol header; its 32 bytes are
 		// a multiple of every protocol's MaxAlign, so payload alignment
 		// is unchanged.
-		writeTraceContext(enc, TraceContext{TraceID: ct.tc.TraceID, SpanID: attemptID, Sampled: true})
+		ct.lastXID = xid
+		writeTraceContext(enc, TraceContext{TraceID: ct.tc.TraceID, SpanID: ct.attempt, Sampled: true})
 	}
 	c.proto.WriteRequest(enc, &h)
-	marshal(enc)
-	if ev != nil {
-		ev.XID = xid
-		ev.ReqBytes = enc.Len()
+	inv.marshal(enc)
+	if inv.ctx != nil && inv.ctx.Err() != nil {
+		// Canceled while marshaling (a hedged call's loser whose marshal
+		// guard was revoked): the incomplete request never reaches the
+		// wire.
+		putEncoder(enc)
+		return nil, nil, 0, inv.ctx.Err()
 	}
 	if metrics != nil {
-		metrics.Op(opName).ReqBytes.Add(uint64(enc.Len()))
+		metrics.Op(inv.op.Name).ReqBytes.Add(uint64(enc.Len()))
 		metrics.addEnc(enc.TakeStats())
 	}
+	return s, enc, xid, nil
+}
 
-	if !oneway {
-		// Register before sending so a reply cannot race past its slot,
-		// then make sure someone is reading replies on this session.
-		ca = getCall()
-		s.mu.Lock()
-		if s.failed != nil {
-			err := s.failed
-			s.mu.Unlock()
-			putCall(ca)
-			putEncoder(enc)
-			return nil, nil, 0, err, false
-		}
-		s.pending[xid] = ca
-		startReader := !s.readerOn
-		if startReader {
-			s.readerOn = true
-		}
+// register enters a call slot (ca) or a stream (st) in the session's
+// tables under xid before its request is sent, so a reply or chunk
+// cannot race past it, and makes sure someone is reading replies on
+// the session. It fails with the poison error on a failed session.
+func (c *Client) register(s *session, xid uint32, ca *call, st *ClientStream) error {
+	s.mu.Lock()
+	if s.failed != nil {
+		err := s.failed
 		s.mu.Unlock()
-		if metrics != nil {
-			metrics.InFlight.Add(1)
-		}
-		if startReader {
-			go c.readReplies(s)
-		}
+		return err
 	}
+	if ca != nil {
+		s.pending[xid] = ca
+	} else {
+		s.streams[xid] = st
+	}
+	startReader := !s.readerOn
+	s.readerOn = true
+	s.mu.Unlock()
+	if startReader {
+		go c.readReplies(s)
+	}
+	return nil
+}
 
+// beginAttempt is the transmit half of one attempt: prepare,
+// register-before-send, and transmit. On success for a two-way call it
+// returns the session and registered call slot for awaitAttempt to
+// claim; for a oneway call it returns a nil slot (nothing is owed). It
+// is split from awaitAttempt so the async path can transmit many
+// requests before collecting any reply — the returned slot is exactly
+// what a Promise holds.
+func (c *Client) beginAttempt(inv *invocation) (s *session, ca *call, xid uint32, err error, sent bool) {
+	s, enc, xid, err := c.prepare(inv)
+	if err != nil {
+		return nil, nil, 0, err, false
+	}
+	metrics, oneway := inv.metrics, inv.op.Oneway
 	if oneway {
 		// Oneway-aware batching: nothing waits on this message, so a
 		// coalescing conn may hold it for company instead of cutting a
@@ -787,16 +782,19 @@ func (c *Client) beginAttempt(ctx context.Context, proc uint32, opName string, o
 			err = sendEncoded(s.conn, enc)
 		}
 	} else {
+		ca = getCall()
+		if err := c.register(s, xid, ca, nil); err != nil {
+			putCall(ca)
+			putEncoder(enc)
+			return nil, nil, 0, err, false
+		}
+		if metrics != nil {
+			metrics.InFlight.Add(1)
+		}
 		// Vectored when the stub aliased payload segments and the
 		// transport can scatter/gather; the plain contiguous send
 		// otherwise.
 		err = sendEncoded(s.conn, enc)
-	}
-	if ev != nil {
-		ev.Sent = time.Now()
-		if c.Hooks.WantWire() {
-			ev.ReqWire = append([]byte(nil), enc.Bytes()...)
-		}
 	}
 	putEncoder(enc)
 	if err != nil {
@@ -837,7 +835,8 @@ func (c *Client) beginAttempt(ctx context.Context, proc uint32, opName string, o
 // the ctx deadline, whichever is sooner, and interrupted immediately
 // by ctx cancellation; an abandoned call sends a best-effort cancel
 // frame so the server can release the in-flight work.
-func (c *Client) awaitAttempt(ctx context.Context, s *session, ca *call, xid uint32, metrics *Metrics) (dec *Decoder, err error) {
+func (c *Client) awaitAttempt(inv *invocation, s *session, ca *call, xid uint32) (dec *Decoder, err error) {
+	ctx, metrics := inv.ctx, inv.metrics
 	// Wait for the reader to deliver the matched reply (or the drain
 	// error), bounded by the per-call deadline when one is set.
 	var ctxDone <-chan struct{}
@@ -1076,17 +1075,14 @@ func (c *Client) readReplies(s *session) {
 // connTornDown reports a connection teardown that poisoned a session —
 // a receive failure, an unparseable reply header, or a desynchronized
 // stream, whether noticed during normal operation, poison-drain, or a
-// pool failover — through the trace hook as a TraceConnError with the
-// pool session index attached. Deliberate Close teardowns are not
-// reported (they carry no diagnostic signal).
+// pool failover — in ConnErrors and as an always-recorded SpanConnError
+// span carrying the pool session index. Deliberate Close teardowns are
+// not reported (they carry no diagnostic signal).
 func (c *Client) connTornDown(err error) {
 	if metrics := c.Metrics; metrics != nil {
 		metrics.ConnErrors.Add(1)
 	}
-	hooks := c.Hooks
-	if hooks == nil {
-		return
+	if tracer := c.Tracer; tracer != nil {
+		recordErrorSpan(tracer, SpanConnError, "", c.Shard, time.Now(), err)
 	}
-	now := time.Now()
-	hooks.Trace(&TraceEvent{Kind: TraceConnError, Sess: c.Shard, Begin: now, End: now, Err: err})
 }

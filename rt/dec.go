@@ -41,7 +41,7 @@ type Decoder struct {
 	// pooled marks a runtime-owned decoder handed out by the call
 	// pipeline; Release returns it to the pool (see pool.go). sink,
 	// when non-nil, receives the drained counters at Release time so
-	// unmarshal-side checks performed after Call returns still reach
+	// unmarshal-side checks performed after Do returns still reach
 	// the registry that observed the call.
 	pooled bool
 	sink   *Metrics

@@ -104,7 +104,7 @@ func (e *Encoder) Reset() {
 
 // Bytes returns the encoded payload. While alias segments are
 // outstanding the contiguous buffer alone is not the message, so Bytes
-// assembles a flattened copy — correct everywhere (trace hooks, batch
+// assembles a flattened copy — correct everywhere (wire dumps, batch
 // envelopes, transports without vectored send) at the cost of the copy
 // the fast path exists to avoid. Senders prefer Vectored.
 func (e *Encoder) Bytes() []byte {

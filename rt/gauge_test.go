@@ -45,11 +45,11 @@ func TestInFlightZeroAfterSuccessAndDispatchError(t *testing.T) {
 
 	doubleCall(t, c, 5)
 	// Dispatch error (proc 2 always fails): server replies ErrSystem.
-	if _, err := c.Call(2, "fail", false, func(e *Encoder) {}); !errors.Is(err, ErrSystem) {
+	if _, err := c.Do(nil, &Op{Proc: 2, Name: "fail"}, func(e *Encoder) {}); !errors.Is(err, ErrSystem) {
 		t.Fatalf("fail call = %v, want ErrSystem", err)
 	}
 	// Oneway never increments InFlight (nothing is in flight to match).
-	if _, err := c.Call(3, "note", true, func(e *Encoder) {}); err != nil {
+	if _, err := c.Do(nil, &Op{Proc: 3, Name: "note", Oneway: true}, func(e *Encoder) {}); err != nil {
 		t.Fatal(err)
 	}
 	waitGaugeZero(t, "InFlight", m, base, inFlight)
@@ -66,7 +66,7 @@ func TestInFlightZeroAfterTimeout(t *testing.T) {
 
 	// The peer swallows the request: the call must time out.
 	go func() { serverEnd.Recv() }()
-	if _, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrTimeout) {
+	if _, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("swallowed call = %v, want ErrTimeout", err)
 	}
 	waitGaugeZero(t, "InFlight", m, base, inFlight)
@@ -81,7 +81,7 @@ func TestInFlightZeroAfterSendFailure(t *testing.T) {
 
 	serverEnd.Close()
 	clientEnd.Close()
-	if _, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) }); err == nil {
+	if _, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) }); err == nil {
 		t.Fatal("send on a closed conn succeeded")
 	}
 	waitGaugeZero(t, "InFlight", m, base, inFlight)
@@ -111,7 +111,7 @@ func TestInFlightZeroAfterPoisonDrain(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) })
+			c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) })
 		}()
 	}
 	for i := 0; i < n; i++ {
@@ -134,8 +134,8 @@ func TestInFlightZeroAfterBreakerReject(t *testing.T) {
 	c.Breaker = &Breaker{Threshold: 1, Cooldown: time.Minute}
 	c.Retry = &RetryPolicy{MaxAttempts: 1}
 
-	c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) }) // opens the breaker
-	if _, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrBreakerOpen) {
+	c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) }) // opens the breaker
+	if _, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("shed call = %v, want ErrBreakerOpen", err)
 	}
 	if m.BreakerRejects.Load() == 0 {
@@ -167,7 +167,7 @@ func TestQueueDepthZeroAfterPanicsAndErrors(t *testing.T) {
 
 	c := newEchoClient(clientEnd)
 	for proc := uint32(1); proc <= 3; proc++ {
-		if _, err := c.Call(proc, "x", false, func(e *Encoder) {}); !errors.Is(err, ErrSystem) {
+		if _, err := c.Do(nil, &Op{Proc: proc, Name: "x"}, func(e *Encoder) {}); !errors.Is(err, ErrSystem) {
 			t.Fatalf("proc %d = %v, want ErrSystem", proc, err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestQueueDepthZeroAfterAdmissionReject(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) })
+		d, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) })
 		if err == nil {
 			d.Release()
 		}
@@ -201,7 +201,7 @@ func TestQueueDepthZeroAfterAdmissionReject(t *testing.T) {
 	}
 	// The reject path must not touch QueueDepth: the request never
 	// reaches the queue.
-	if _, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(2) }); !errors.Is(err, ErrOverloaded) {
+	if _, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(2) }); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overloaded call = %v", err)
 	}
 	close(block)
@@ -241,7 +241,7 @@ func TestQueueDepthZeroAfterConnTeardownMidQueue(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c.Call(1, "slow", false, func(e *Encoder) { e.PutU32BEC(uint32(i)) })
+			c.Do(nil, &Op{Proc: 1, Name: "slow"}, func(e *Encoder) { e.PutU32BEC(uint32(i)) })
 		}(i)
 	}
 	// Let the burst queue up behind the blocked worker, then tear down.

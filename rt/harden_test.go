@@ -183,7 +183,7 @@ func TestServerPanicRecovery(t *testing.T) {
 	t.Cleanup(func() { clientEnd.Close(); <-done })
 
 	c := newEchoClient(clientEnd)
-	if _, err := c.Call(9, "boom", false, func(e *Encoder) {}); !errors.Is(err, ErrSystem) {
+	if _, err := c.Do(nil, &Op{Proc: 9, Name: "boom"}, func(e *Encoder) {}); !errors.Is(err, ErrSystem) {
 		t.Fatalf("panicking handler returned %v to the caller, want ErrSystem", err)
 	}
 	if got := s.Metrics.PanicsRecovered.Load(); got != 1 {
@@ -360,7 +360,7 @@ func TestFailCloseRaceStress(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < perCaller; i++ {
-					d, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(uint32(g + 1)) })
+					d, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(uint32(g + 1)) })
 					if err != nil {
 						continue // ErrClosed et al. are expected mid-teardown
 					}

@@ -128,14 +128,20 @@ func (cs *connStreams) cancelAll() {
 	cs.mu.Unlock()
 }
 
-// servingConn is the per-connection state Server.Drain coordinates
-// with ServeConn: the transport (for the GOAWAY frame and final
-// close), the stream and call registries (for straggler cancellation),
-// and the in-flight gauge the drain loop watches.
+// servingConn is one served connection's state, shared by ServeConn's
+// decode loop and workers and coordinated by Server.Drain: the
+// transport (for replies, the GOAWAY frame, and the final close), the
+// stream and call registries (for straggler cancellation), the worker
+// queue, the duplicate window, the first reply-write failure, and the
+// in-flight gauge the drain loop watches.
 type servingConn struct {
-	conn  Conn
-	cs    *connStreams
-	calls *connCalls
+	conn    Conn
+	cs      *connStreams
+	calls   *connCalls
+	jobs    chan srvJob
+	metrics *Metrics
+	dups    *dupCache // nil unless Server.DupWindow is set
+	fail    connFail
 	// inflight counts requests admitted to the worker queue and not
 	// yet finished (dispatch done, reply sent or shed).
 	inflight atomic.Int64

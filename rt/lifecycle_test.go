@@ -43,7 +43,7 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	}
 }
 
-// TestDeadlineTravelsToHandler: a ctx deadline on CallCtx arrives at
+// TestDeadlineTravelsToHandler: a ctx deadline on Do arrives at
 // the handler as ReqHeader.{HasDeadline,Deadline} with the remaining
 // budget, and a deadline-less call arrives without one.
 func TestDeadlineTravelsToHandler(t *testing.T) {
@@ -61,9 +61,9 @@ func TestDeadlineTravelsToHandler(t *testing.T) {
 	const budget = 500 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
-	d, err := c.CallCtx(ctx, 1, "double", false, func(e *Encoder) { e.PutU32BEC(21) })
+	d, err := c.Do(ctx, doubleOp, func(e *Encoder) { e.PutU32BEC(21) })
 	if err != nil {
-		t.Fatalf("CallCtx: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
 	if !d.Ensure(4) || d.U32BE() != 42 {
 		t.Fatalf("bad reply: %v", d.Err())
@@ -105,27 +105,28 @@ func (r *recordingConn) take() [][]byte {
 	return out
 }
 
-// TestDeadlineWireBytes pins the compatibility contract: a ctx-less
-// CallCtx emits frames byte-identical (modulo XID) to Call, and only a
-// deadline-carrying ctx adds the 16-byte annotation prefix.
+// TestDeadlineWireBytes pins the compatibility contract: Do with a
+// deadline-less ctx emits frames byte-identical (modulo XID) to a nil
+// ctx, and only a deadline-carrying ctx adds the 16-byte annotation
+// prefix.
 func TestDeadlineWireBytes(t *testing.T) {
 	rec := &recordingConn{Conn: startEchoServer(t, 1)}
 	c := newEchoClient(rec)
 	marshal := func(e *Encoder) { e.PutU32BEC(21) }
 
-	if d, err := c.Call(1, "double", false, marshal); err != nil {
+	if d, err := c.Do(nil, doubleOp, marshal); err != nil {
 		t.Fatal(err)
 	} else {
 		d.Release()
 	}
-	if d, err := c.CallCtx(context.Background(), 1, "double", false, marshal); err != nil {
+	if d, err := c.Do(context.Background(), doubleOp, marshal); err != nil {
 		t.Fatal(err)
 	} else {
 		d.Release()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if d, err := c.CallCtx(ctx, 1, "double", false, marshal); err != nil {
+	if d, err := c.Do(ctx, doubleOp, marshal); err != nil {
 		t.Fatal(err)
 	} else {
 		d.Release()
@@ -138,7 +139,7 @@ func TestDeadlineWireBytes(t *testing.T) {
 	plain, ctxless, deadlined := frames[0], frames[1], frames[2]
 	// The ONC XID is the leading u32; everything after it must match.
 	if len(plain) != len(ctxless) || !bytes.Equal(plain[4:], ctxless[4:]) {
-		t.Errorf("CallCtx(Background) changed the wire bytes: %x vs %x", plain, ctxless)
+		t.Errorf("Do(Background) changed the wire bytes: %x vs %x", plain, ctxless)
 	}
 	if _, _, has := SplitDeadline(ctxless); has {
 		t.Error("ctx-less frame carries a deadline annotation")
@@ -225,7 +226,7 @@ func TestClientMapsReplyExpired(t *testing.T) {
 	c.Breaker = &Breaker{Threshold: 2, Cooldown: time.Minute}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	_, err := c.CallIdemCtx(ctx, 1, "double", false, true, func(e *Encoder) { e.PutU32BEC(1) })
+	_, err := c.Do(ctx, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(1) })
 	if !errors.Is(err, ErrExpired) {
 		t.Fatalf("err = %v, want ErrExpired", err)
 	}
@@ -235,6 +236,24 @@ func TestClientMapsReplyExpired(t *testing.T) {
 	if st := c.Breaker.State(); st != BreakerClosed {
 		t.Errorf("breaker = %v after a zero-work refusal, want closed", st)
 	}
+}
+
+// TestCtxCanceledWhileMarshalingNeverSent: a ctx canceled while the
+// request is being marshaled — what a hedged call's losing attempt sees
+// once the race is decided — fails the call with context.Canceled and
+// puts nothing on the wire.
+func TestCtxCanceledWhileMarshalingNeverSent(t *testing.T) {
+	rec := &recordingConn{Conn: startEchoServer(t, 1)}
+	c := newEchoClient(rec)
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := c.Do(ctx, doubleOp, func(e *Encoder) { cancel() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if sent := rec.take(); len(sent) != 0 {
+		t.Errorf("%d frames sent for a call canceled while marshaling", len(sent))
+	}
+	doubleCall(t, c, 3) // the session is unharmed
 }
 
 // TestCtxCancelMidCall: canceling the caller's ctx returns immediately
@@ -259,7 +278,7 @@ func TestCtxCancelMidCall(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.CallCtx(ctx, 1, "double", false, func(e *Encoder) { e.PutU32BEC(1) })
+		_, err := c.Do(ctx, doubleOp, func(e *Encoder) { e.PutU32BEC(1) })
 		errCh <- err
 	}()
 	<-started
@@ -294,7 +313,7 @@ func TestCtxDeadlineExceededMidWait(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := c.CallCtx(ctx, 1, "double", false, func(e *Encoder) { e.PutU32BEC(1) })
+	_, err := c.Do(ctx, doubleOp, func(e *Encoder) { e.PutU32BEC(1) })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -344,7 +363,7 @@ func TestDrainKillsStragglers(t *testing.T) {
 	c.Timeout = 10 * time.Second
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) })
+		_, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) })
 		errCh <- err
 	}()
 	<-started
@@ -389,8 +408,8 @@ func TestDrainUnblocksStreamSender(t *testing.T) {
 	c := newEchoClient(conn)
 	// Window 1: the first chunk consumes all credit and the second Send
 	// blocks; we never Recv, so no more credit ever arrives.
-	if _, err := c.CallStream(5, "count", 1, func(e *Encoder) {}); err != nil {
-		t.Fatalf("CallStream: %v", err)
+	if _, err := c.Stream(nil, &Op{Proc: 5, Name: "count"}, 1, func(e *Encoder) {}); err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
 	waitUntil(t, 2*time.Second, func() bool { return sent.Load() == 1 },
 		"sender never transmitted its first chunk")
@@ -617,7 +636,7 @@ func TestNonIdempotentNeverHedges(t *testing.T) {
 
 	// Non-idempotent: 20ms against a 2ms hedge delay, and still no hedge.
 	for i := 1; i <= 4; i++ {
-		d, err := p.CallIdem(1, "double", false, false, func(e *Encoder) { e.PutU32BEC(uint32(i)) })
+		d, err := p.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(uint32(i)) })
 		if err != nil {
 			t.Fatalf("non-idempotent call: %v", err)
 		}
@@ -627,7 +646,7 @@ func TestNonIdempotentNeverHedges(t *testing.T) {
 		t.Fatalf("pool hedged %d non-idempotent calls; a duplicate could execute twice", got)
 	}
 	// Oneway: nothing waits, nothing to hedge.
-	if _, err := p.CallIdem(3, "note", true, true, func(e *Encoder) {}); err != nil {
+	if _, err := p.Do(nil, &Op{Proc: 3, Name: "note", Oneway: true, Idempotent: true}, func(e *Encoder) {}); err != nil {
 		t.Fatalf("oneway call: %v", err)
 	}
 	if got := cm.HedgedCalls.Load(); got != 0 {
@@ -635,7 +654,7 @@ func TestNonIdempotentNeverHedges(t *testing.T) {
 	}
 	// Idempotent control under the same latency: the gate opens.
 	for i := 1; i <= 4; i++ {
-		d, err := p.CallIdem(1, "double", false, true, func(e *Encoder) { e.PutU32BEC(uint32(i)) })
+		d, err := p.Do(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(uint32(i)) })
 		if err != nil {
 			t.Fatalf("idempotent call: %v", err)
 		}

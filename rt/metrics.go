@@ -158,7 +158,7 @@ type OpStats struct {
 	// Calls counts invocations (client: issued calls; server:
 	// dispatched requests, including failing ones).
 	Calls atomic.Uint64
-	// Errors counts failed invocations (client: Call returned an
+	// Errors counts failed invocations (client: Do returned an
 	// error; server: the dispatcher returned an error).
 	Errors atomic.Uint64
 	// ReqBytes / RepBytes total the framed request and reply message

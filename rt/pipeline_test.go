@@ -27,6 +27,58 @@ func startEchoServer(t *testing.T, workers int) Conn {
 	return clientEnd
 }
 
+// serveConn runs s.ServeConn(conn) in the background until the test
+// ends, then closes conn and waits for ServeConn to return, so no
+// server goroutine releases pooled buffers inside a later test's
+// ReadPoolStats window.
+func serveConn(t *testing.T, s *Server, conn Conn) {
+	done := make(chan struct{})
+	go func() { defer close(done); s.ServeConn(conn) }()
+	t.Cleanup(func() { conn.Close(); <-done })
+}
+
+// serveListener is serveConn for every connection l accepts: the
+// cleanup closes the listener and the accepted connections and waits
+// for each ServeConn to return.
+func serveListener(t *testing.T, s *Server, l Listener) {
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		conns []Conn
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() { defer wg.Done(); s.ServeConn(conn) }()
+		}
+	}()
+	t.Cleanup(func() {
+		l.Close()
+		mu.Lock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+}
+
+// doubleOp and doubleIdemOp describe echoDispatch's double operation,
+// as non-idempotent and idempotent respectively.
+var (
+	doubleOp     = &Op{Proc: 1, Name: "double"}
+	doubleIdemOp = &Op{Proc: 1, Name: "double", Idempotent: true}
+)
+
 func newEchoClient(conn Conn) *Client {
 	c := NewClient(conn, ONC{})
 	c.Prog, c.Vers = 7, 1
@@ -37,7 +89,7 @@ func newEchoClient(conn Conn) *Client {
 // releasing the pooled decoder like a generated stub would.
 func doubleCall(t *testing.T, c *Client, v uint32) {
 	t.Helper()
-	d, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(v) })
+	d, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(v) })
 	if err != nil {
 		t.Fatalf("double(%d): %v", v, err)
 	}
@@ -50,15 +102,15 @@ func doubleCall(t *testing.T, c *Client, v uint32) {
 	d.Release()
 }
 
-// TestCallAfterClose guards the closed-state contract: Call on a closed
+// TestCallAfterClose guards the closed-state contract: Do on a closed
 // client reports ErrClosed, not a transport error.
 func TestCallAfterClose(t *testing.T) {
 	conn := startEchoServer(t, 1)
 	c := newEchoClient(conn)
 	doubleCall(t, c, 7)
 	c.Close()
-	if _, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrClosed) {
-		t.Errorf("Call after Close = %v, want ErrClosed", err)
+	if _, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrClosed) {
+		t.Errorf("Do after Close = %v, want ErrClosed", err)
 	}
 	// Idempotent close.
 	if err := c.Close(); err != nil && !errors.Is(err, ErrClosed) {
@@ -87,7 +139,7 @@ func TestCloseMidFlight(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) })
+			_, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) })
 			errs <- err
 		}()
 	}
@@ -123,7 +175,7 @@ func TestPeerFailureDrain(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) })
+			_, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) })
 			errs <- err
 		}()
 	}
@@ -137,8 +189,8 @@ func TestPeerFailureDrain(t *testing.T) {
 		}
 	}
 	// The client is poisoned: later calls fail fast.
-	if _, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) }); err == nil {
-		t.Error("Call on poisoned client succeeded")
+	if _, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) }); err == nil {
+		t.Error("Do on poisoned client succeeded")
 	}
 }
 
@@ -185,7 +237,7 @@ func TestConcurrentCallsTransports(t *testing.T) {
 		s := NewServer(ONC{})
 		s.Workers = 4
 		s.Register(7, 1, echoDispatch)
-		go s.Serve(l)
+		serveListener(t, s, l)
 		conn, err := DialTCP(l.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +255,7 @@ func TestConcurrentCallsTransports(t *testing.T) {
 		s := NewServer(ONC{})
 		s.Workers = 4
 		s.Register(7, 1, echoDispatch)
-		go s.ServeConn(serverConn)
+		serveConn(t, s, serverConn)
 		conn, err := DialUDP(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -255,7 +307,7 @@ func TestOutOfOrderCompletion(t *testing.T) {
 	c := newEchoClient(clientEnd)
 	slowDone := make(chan uint32, 1)
 	go func() {
-		d, err := c.Call(1, "slow", false, func(e *Encoder) {})
+		d, err := c.Do(nil, &Op{Proc: 1, Name: "slow"}, func(e *Encoder) {})
 		if err != nil {
 			slowDone <- 0
 			return
@@ -267,7 +319,7 @@ func TestOutOfOrderCompletion(t *testing.T) {
 	}()
 
 	// The fast call must complete while slow is still gated.
-	d, err := c.Call(2, "fast", false, func(e *Encoder) {})
+	d, err := c.Do(nil, &Op{Proc: 2, Name: "fast"}, func(e *Encoder) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +358,10 @@ func TestOnewayInterleaving(t *testing.T) {
 	c := newEchoClient(clientEnd)
 	const rounds = 20
 	for i := 0; i < rounds; i++ {
-		if _, err := c.Call(3, "note", true, func(e *Encoder) {}); err != nil {
+		if _, err := c.Do(nil, &Op{Proc: 3, Name: "note", Oneway: true}, func(e *Encoder) {}); err != nil {
 			t.Fatal(err)
 		}
-		d, err := c.Call(2, "fast", false, func(e *Encoder) {})
+		d, err := c.Do(nil, &Op{Proc: 2, Name: "fast"}, func(e *Encoder) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,13 +398,13 @@ func TestCallTimeout(t *testing.T) {
 	c.Metrics = NewMetrics()
 	c.Timeout = 25 * time.Millisecond
 
-	if _, err := c.Call(1, "slow", false, func(e *Encoder) {}); !errors.Is(err, ErrTimeout) {
+	if _, err := c.Do(nil, &Op{Proc: 1, Name: "slow"}, func(e *Encoder) {}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("gated call = %v, want ErrTimeout", err)
 	}
 	close(gate) // the late reply arrives now and must be dropped
 
 	// The connection survives: a fast call succeeds within the deadline.
-	d, err := c.Call(2, "fast", false, func(e *Encoder) {})
+	d, err := c.Do(nil, &Op{Proc: 2, Name: "fast"}, func(e *Encoder) {})
 	if err != nil {
 		t.Fatalf("call after timeout: %v", err)
 	}
@@ -375,7 +427,7 @@ func TestCallTimeout(t *testing.T) {
 }
 
 // TestReleasedCallAllocs guards the pooled buffer-ownership fast path:
-// a loopback Call whose caller releases the reply decoder (as generated
+// a loopback call whose caller releases the reply decoder (as generated
 // stubs do) must stay within the seed's 5-alloc budget with room to
 // spare — the pools exist to get the steady state below it.
 func TestReleasedCallAllocs(t *testing.T) {
@@ -383,7 +435,7 @@ func TestReleasedCallAllocs(t *testing.T) {
 	c := newEchoClient(conn)
 	marshal := func(e *Encoder) { e.PutU32BEC(4) }
 	avg := testing.AllocsPerRun(200, func() {
-		d, err := c.Call(1, "double", false, marshal)
+		d, err := c.Do(nil, doubleOp, marshal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,6 +448,6 @@ func TestReleasedCallAllocs(t *testing.T) {
 	// 2 pipe copies + header escapes; the pooled encoder, decoder, and
 	// call slot must not add steady-state allocations.
 	if avg > 5 {
-		t.Errorf("released Call allocates %.1f/op (budget 5)", avg)
+		t.Errorf("released call allocates %.1f/op (budget 5)", avg)
 	}
 }

@@ -6,10 +6,10 @@
 // multiplexed client cannot share one buffer across concurrent calls,
 // so the contract becomes ownership-passing instead of borrowing:
 //
-//   - Call takes an Encoder from the pool, marshals into it, and
+//   - Do takes an Encoder from the pool, marshals into it, and
 //     returns it to the pool the moment the transport accepts the
 //     message (Conn.Send does not retain the buffer).
-//   - Each reply is bound to a pooled Decoder that Call hands to its
+//   - Each reply is bound to a pooled Decoder that Do hands to its
 //     caller. The caller — in practice the generated client stub —
 //     releases it back to the pool with Decoder.Release after
 //     unmarshaling. A caller that never releases merely forfeits the

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -79,9 +80,8 @@ type PoolConfig struct {
 	// the delay derivation and the safety gate.
 	Hedge *HedgePolicy
 
-	// Metrics and Hooks are shared by all sessions.
+	// Metrics is shared by all sessions.
 	Metrics *Metrics
-	Hooks   TraceHook
 
 	// Tracer, when non-nil, is shared by all sessions and by the pool
 	// itself: the pool owns each sampled call's root span (SpanPoolCall)
@@ -148,9 +148,9 @@ func (c *PoolConfig) size() int {
 	return c.Size
 }
 
-// ClientPool fans calls out over N multiplexed sessions. It exposes
-// the same CallIdem/Call surface as Client, so generated stubs work
-// against either.
+// ClientPool fans calls out over N multiplexed sessions. Its Do and Go
+// take the same arguments as Client's, with the session picked per
+// call; Client(i) exposes a session for anything else (streams).
 type ClientPool struct {
 	sessions []*Client
 	policy   DispatchPolicy
@@ -210,7 +210,6 @@ func NewClientPool(cfg PoolConfig) (*ClientPool, error) {
 		c.Timeout = cfg.Timeout
 		c.Retry = cfg.Retry
 		c.Metrics = cfg.Metrics
-		c.Hooks = cfg.Hooks
 		c.Tracer = cfg.Tracer
 		c.Shard = i
 		if cfg.BreakerThreshold > 0 {
@@ -284,29 +283,22 @@ func failoverSafe(err error) bool {
 		errors.Is(err, ErrRetryable)
 }
 
-// CallIdem dispatches one invocation: pick a session by policy, skip
+// Do dispatches one invocation of op: pick a session by policy, skip
 // unhealthy sessions (unless every session is unhealthy, in which case
 // the preferred one gets the call anyway — its breaker probe or redial
 // is the recovery path), and fail over to the next session when an
-// attempt fails in a way that is provably safe to re-send. The call
-// surface matches Client.CallIdem, so generated stubs take a
-// *ClientPool wherever they took a *Client.
-func (p *ClientPool) CallIdem(proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder)) (*Decoder, error) {
-	return p.CallIdemCtx(nil, proc, opName, oneway, idempotent, marshal)
-}
-
-// CallIdemCtx is CallIdem with a caller context for trace continuation
-// (see Client.CallCtx). When the pool's Tracer samples the call, the
-// pool records the root span and threads its context into every
-// session tried, so a failover continues the same trace.
-func (p *ClientPool) CallIdemCtx(ctx context.Context, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder)) (*Decoder, error) {
+// attempt fails in a way that is provably safe to re-send. ctx means
+// what it means for Client.Do; when the pool's Tracer samples the
+// call, the pool records the root span and threads its context into
+// every session tried, so a failover continues the same trace.
+func (p *ClientPool) Do(ctx context.Context, op *Op, marshal func(*Encoder)) (*Decoder, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	var ct *callTrace
+	inv := invocation{ctx: ctx, op: op, marshal: marshal, metrics: p.metrics}
 	if tracer := p.tracer; tracer != nil {
-		if ct = startCallTrace(tracer, ctx, SpanPoolCall, opName, 0); ct != nil {
-			ctx = ContextWithTrace(ctx, ct.tc)
+		if inv.ct = startCallTrace(tracer, ctx, SpanPoolCall, op.Name, 0); inv.ct != nil {
+			inv.ctx = ContextWithTrace(ctx, inv.ct.tc)
 		}
 		// Unsampled pool failures are recorded by the session client's
 		// own always-sample-on-error path; recording them here too
@@ -314,12 +306,12 @@ func (p *ClientPool) CallIdemCtx(ctx context.Context, proc uint32, opName string
 	}
 	var d *Decoder
 	var err error
-	if p.hedge != nil && idempotent && !oneway && len(p.sessions) > 1 {
-		d, err = p.dispatchHedged(ctx, proc, opName, marshal, ct)
+	if p.hedge != nil && op.Idempotent && !op.Oneway && len(p.sessions) > 1 {
+		d, err = p.dispatchHedged(&inv)
 	} else {
-		d, err = p.dispatch(ctx, proc, opName, oneway, idempotent, marshal, ct)
+		d, err = p.dispatchAt(&inv, p.steer(p.pick(op.Name)), -1)
 	}
-	ct.finish(err)
+	inv.ct.finish(err)
 	return d, err
 }
 
@@ -337,18 +329,12 @@ func (p *ClientPool) steer(start int) int {
 	return start
 }
 
-// dispatch runs the session-selection and failover loop for one call.
-func (p *ClientPool) dispatch(ctx context.Context, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder), ct *callTrace) (*Decoder, error) {
-	start := p.steer(p.pick(opName))
-	return p.dispatchAt(ctx, start, -1, proc, opName, oneway, idempotent, marshal, ct)
-}
-
 // dispatchAt runs the failover loop from a chosen starting session,
 // optionally excluding one index (a hedged call's other attempt owns
 // it — the whole point of the hedge is hitting a *different* server
 // queue). The first attempt goes to start even if unhealthy; failover
 // candidates must report Healthy.
-func (p *ClientPool) dispatchAt(ctx context.Context, start, skip int, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder), ct *callTrace) (*Decoder, error) {
+func (p *ClientPool) dispatchAt(inv *invocation, start, skip int) (*Decoder, error) {
 	n := len(p.sessions)
 	var lastErr error
 	tried := 0
@@ -365,12 +351,12 @@ func (p *ClientPool) dispatchAt(ctx context.Context, start, skip int, proc uint3
 			if p.metrics != nil {
 				p.metrics.SessionFailovers.Add(1)
 			}
-			if ct != nil {
-				ct.event("failover", fmt.Sprintf("to session %d after: %v", c.Shard, lastErr))
+			if inv.ct != nil {
+				inv.ct.event("failover", fmt.Sprintf("to session %d after: %v", c.Shard, lastErr))
 			}
 		}
 		tried++
-		d, err := c.CallIdemCtx(ctx, proc, opName, oneway, idempotent, marshal)
+		d, err := c.Do(inv.ctx, inv.op, inv.marshal)
 		if err == nil {
 			return d, nil
 		}
@@ -398,11 +384,11 @@ type hedgeResult struct {
 // a reply arrives anyway) is collected and released off the hot path.
 //
 // Only called for idempotent, non-oneway operations on pools with at
-// least two sessions — the gates live in CallIdemCtx and are pinned by
-// test, because a hedged non-idempotent request could execute twice.
-func (p *ClientPool) dispatchHedged(ctx context.Context, proc uint32, opName string, marshal func(*Encoder), ct *callTrace) (*Decoder, error) {
+// least two sessions — the gates live in Do and are pinned by test,
+// because a hedged non-idempotent request could execute twice.
+func (p *ClientPool) dispatchHedged(inv *invocation) (*Decoder, error) {
 	n := len(p.sessions)
-	start := p.steer(p.pick(opName))
+	start := p.steer(p.pick(inv.op.Name))
 	hedgeStart := -1
 	for off := 1; off < n; off++ {
 		if i := (start + off) % n; p.sessions[i].Healthy() {
@@ -412,31 +398,41 @@ func (p *ClientPool) dispatchHedged(ctx context.Context, proc uint32, opName str
 	}
 	if hedgeStart < 0 {
 		// No second healthy session to hedge on: plain dispatch.
-		return p.dispatchAt(ctx, start, -1, proc, opName, false, true, marshal, ct)
+		return p.dispatchAt(inv, start, -1)
 	}
 
-	parent := ctx
+	parent := inv.ctx
 	if parent == nil {
 		parent = context.Background()
 	}
-	pctx, pcancel := context.WithCancel(parent)
-	hctx, hcancel := context.WithCancel(parent)
+	// Each attempt gets its own copy of the invocation: its own
+	// cancelable ctx, a nil callTrace — callTrace.event is not
+	// concurrency-safe, and the loser can outlive this call; hedge
+	// lifecycle events are recorded here, by the coordinator — and the
+	// caller's marshal function behind a guard revoked before Do
+	// returns, so the loser never reads the caller's arguments after
+	// that.
+	guard := &marshalGuard{f: inv.marshal}
+	prim, hedge := *inv, *inv
+	prim.ct, hedge.ct = nil, nil
+	prim.marshal, hedge.marshal = guard.marshal, guard.marshal
+	var pcancel, hcancel context.CancelFunc
+	prim.ctx, pcancel = context.WithCancel(parent)
+	hedge.ctx, hcancel = context.WithCancel(parent)
 	defer pcancel()
 	defer hcancel()
 
-	// The attempt goroutines get a nil callTrace: callTrace.event is
-	// not concurrency-safe, and the loser can outlive this call. Hedge
-	// lifecycle events are recorded here, by the coordinator.
 	resCh := make(chan hedgeResult, 2)
 	go func() {
 		// Ownership passes through the result channel: the coordinator
 		// hands the winner's decoder to the caller and releases losers.
-		d, err := p.dispatchAt(pctx, start, hedgeStart, proc, opName, false, true, marshal, nil) //lint:allow releasecheck
-		resCh <- hedgeResult{d: d, err: err}                                                     //lint:allow poolescape
+		d, err := p.dispatchAt(&prim, start, hedgeStart) //lint:allow releasecheck
+		resCh <- hedgeResult{d: d, err: err}             //lint:allow poolescape
 	}()
 	launched := 1
 
-	delay := p.hedge.delayFor(p.metrics, opName)
+	ct := inv.ct
+	delay := p.hedge.delayFor(p.metrics, inv.op.Name)
 	timer := time.NewTimer(delay)
 	var first hedgeResult
 	select {
@@ -448,8 +444,8 @@ func (p *ClientPool) dispatchHedged(ctx context.Context, proc uint32, opName str
 		}
 		ct.event("hedge", fmt.Sprintf("launched on session %d after %v", hedgeStart, delay))
 		go func() {
-			d, err := p.dispatchAt(hctx, hedgeStart, start, proc, opName, false, true, marshal, nil) //lint:allow releasecheck
-			resCh <- hedgeResult{d: d, err: err, hedge: true}                                        //lint:allow poolescape
+			d, err := p.dispatchAt(&hedge, hedgeStart, start) //lint:allow releasecheck
+			resCh <- hedgeResult{d: d, err: err, hedge: true} //lint:allow poolescape
 		}()
 		launched = 2
 		first = <-resCh
@@ -471,9 +467,12 @@ func (p *ClientPool) dispatchHedged(ctx context.Context, proc uint32, opName str
 	}
 
 	// Cancel the loser now: its awaiting attempt abandons the wait and
-	// sends the cancel frame that releases the server-side work.
+	// sends the cancel frame that releases the server-side work; one
+	// that has not marshaled yet skips the marshal and, its ctx
+	// canceled, never sends (see Client.prepare).
 	pcancel()
 	hcancel()
+	guard.revoke()
 	if outstanding := launched - collected; outstanding > 0 {
 		go func() {
 			for i := 0; i < outstanding; i++ {
@@ -494,32 +493,41 @@ func (p *ClientPool) dispatchHedged(ctx context.Context, proc uint32, opName str
 	return winner.d, winner.err
 }
 
-// CallAsync issues one asynchronous invocation through the pool: the
+// marshalGuard lets a hedged call's coordinator revoke the caller's
+// marshal function: after revoke returns, no attempt is inside it and
+// none will enter it again.
+type marshalGuard struct {
+	mu      sync.Mutex
+	revoked bool
+	f       func(*Encoder)
+}
+
+func (g *marshalGuard) marshal(e *Encoder) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.revoked {
+		g.f(e)
+	}
+}
+
+func (g *marshalGuard) revoke() {
+	g.mu.Lock()
+	g.revoked = true
+	g.mu.Unlock()
+}
+
+// Go issues one asynchronous invocation of op through the pool: the
 // session is picked by policy with unhealthy sessions skipped, exactly
-// as for CallIdem, and the returned promise resolves on that session.
+// as for Do, and the returned promise resolves on that session.
 // Failover happens at issue time only — a promise that fails resolves
 // with the classified error rather than re-dispatching, because
 // re-sending from Wait would reorder the request against promises
 // issued after it. Callers that want cross-session retries check
 // failoverSafe classes (ErrRetryable, ErrOverloaded, ErrBreakerOpen)
-// on the settled error and re-issue.
-func (p *ClientPool) CallAsync(proc uint32, opName string, idempotent bool, marshal func(*Encoder)) *Promise {
-	n := len(p.sessions)
-	start := p.pick(opName)
-	for off := 0; off < n; off++ {
-		if p.sessions[(start+off)%n].Healthy() {
-			start = (start + off) % n
-			break
-		}
-	}
-	// A closed pool's sessions are closed clients: the promise settles
-	// with ErrClosed.
-	return p.sessions[start].CallAsync(proc, opName, idempotent, marshal)
-}
-
-// Call is CallIdem with idempotent=false, matching Client.Call.
-func (p *ClientPool) Call(proc uint32, opName string, oneway bool, marshal func(*Encoder)) (*Decoder, error) {
-	return p.CallIdemCtx(nil, proc, opName, oneway, false, marshal)
+// on the settled error and re-issue. A closed pool's sessions are
+// closed clients: the promise settles with ErrClosed.
+func (p *ClientPool) Go(ctx context.Context, op *Op, marshal func(*Encoder)) *Promise {
+	return p.sessions[p.steer(p.pick(op.Name))].Go(ctx, op, marshal)
 }
 
 // SessionHealth is one session's health snapshot for the debug surface.

@@ -40,7 +40,7 @@ func newPoolFixture(t *testing.T, size int) (*poolFixture, func(i int) (Conn, er
 
 func poolDouble(t *testing.T, p *ClientPool, v uint32) {
 	t.Helper()
-	d, err := p.CallIdem(1, "double", false, true, func(e *Encoder) { e.PutU32BEC(v) })
+	d, err := p.Do(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(v) })
 	if err != nil {
 		t.Fatalf("double(%d): %v", v, err)
 	}
@@ -189,8 +189,8 @@ func TestPoolClose(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrClosed) {
-		t.Errorf("Call after Close = %v, want ErrClosed", err)
+	if _, err := p.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrClosed) {
+		t.Errorf("Do after Close = %v, want ErrClosed", err)
 	}
 	if err := p.Close(); err != nil && !errors.Is(err, ErrClosed) {
 		t.Errorf("second Close = %v", err)

@@ -12,38 +12,30 @@ import (
 // nothing left to deliver.
 var ErrPromiseSettled = errors.New("rt: promise already settled")
 
-// Promise is one in-flight asynchronous invocation: CallAsync marshals
-// and transmits the request before returning, and the promise holds
-// the registered reply slot until Wait collects it from the session's
-// XID multiplexer. Because transmission happens at issue time, a
-// caller can hold any number of promises in flight on one session and
-// the server pipeline overlaps them exactly like concurrent sync
-// callers — without one goroutine per call.
+// Promise is one in-flight asynchronous invocation: Go marshals and
+// transmits the request before returning, and the promise holds the
+// registered reply slot until Wait collects it from the session's XID
+// multiplexer. Because transmission happens at issue time, a caller
+// can hold any number of promises in flight on one session and the
+// server pipeline overlaps them exactly like concurrent sync callers —
+// without one goroutine per call.
 //
 // Resolution semantics match the sync path: Wait runs the same
-// classification and retry loop a sync CallIdem runs after its first
-// attempt, so promise errors satisfy errors.Is(ErrRetryable /
-// ErrNotRetryable / ErrSystem / ErrOverloaded) identically. When the
-// client traces, the issue-time attempt span parents the resolution:
-// the span is recorded when Wait collects the reply, covering the full
-// issue-to-resolve interval.
+// classification and retry loop Do runs after its first attempt, so
+// promise errors satisfy errors.Is(ErrRetryable / ErrNotRetryable /
+// ErrSystem / ErrOverloaded) identically. When the client traces, the
+// issue-time attempt span parents the resolution: the span is recorded
+// when Wait collects the reply, covering the full issue-to-resolve
+// interval.
 //
 // A promise must be settled by exactly one Wait. Wait blocks; it is
 // safe to call from a different goroutine than the issuer, but not
 // from several at once.
 type Promise struct {
-	c          *Client
-	ctx        context.Context
-	proc       uint32
-	opName     string
-	idempotent bool
-	marshal    func(*Encoder)
-
-	// Issue-time observability state, finalized at Wait.
-	ct           *callTrace
-	attemptID    uint64
-	attemptBegin time.Time
-	begin        time.Time
+	c   *Client
+	inv invocation
+	// begin is the issue time, taken when the client observes calls.
+	begin time.Time
 
 	// First-attempt transmit state (the registered reply slot).
 	s    *session
@@ -60,50 +52,38 @@ type Promise struct {
 	settled bool
 }
 
-// CallAsync begins one asynchronous invocation: the request is
-// marshaled and handed to the transport before CallAsync returns, and
-// the returned promise resolves it. CallAsync never blocks on the
-// reply and never returns nil; issue-time failures (breaker open,
-// poisoned session, send error) settle the promise so Wait reports
-// them with sync-identical classification.
-//
-// Oneway operations have nothing to resolve — use Call. The per-call
-// TraceEvent hook does not fire for async calls; metrics and trace
-// spans cover them.
-func (c *Client) CallAsync(proc uint32, opName string, idempotent bool, marshal func(*Encoder)) *Promise {
-	return c.CallAsyncCtx(nil, proc, opName, idempotent, marshal)
-}
-
-// CallAsyncCtx is CallAsync with a caller context (see CallCtx): the
-// trace on ctx is continued, a ctx deadline travels on the wire and
-// bounds Wait, and ctx cancellation settles Wait early — sending the
-// cancel frame that releases the server-side work. A nil ctx is
-// allowed and means "no propagated trace, deadline, or cancellation".
-func (c *Client) CallAsyncCtx(ctx context.Context, proc uint32, opName string, idempotent bool, marshal func(*Encoder)) *Promise {
-	p := &Promise{c: c, ctx: ctx, proc: proc, opName: opName, idempotent: idempotent, marshal: marshal}
-	metrics, tracer := c.Metrics, c.Tracer
-	if metrics != nil || tracer != nil {
+// Go begins one asynchronous invocation of op: the request is
+// marshaled and handed to the transport before Go returns, and the
+// returned promise resolves it. Go never blocks on the reply and never
+// returns nil; issue-time failures (breaker open, poisoned session,
+// send error) settle the promise so Wait reports them with
+// sync-identical classification. ctx means what it means for Do: its
+// trace is continued, its deadline travels on the wire and bounds
+// Wait, and its cancellation settles Wait early — sending the cancel
+// frame that releases the server-side work. A oneway op's promise
+// resolves to (nil, nil) once the request is sent.
+func (c *Client) Go(ctx context.Context, op *Op, marshal func(*Encoder)) *Promise {
+	p := &Promise{c: c, inv: invocation{ctx: ctx, op: op, marshal: marshal, metrics: c.Metrics}}
+	tracer := c.Tracer
+	if p.inv.metrics != nil || tracer != nil {
 		p.begin = time.Now()
 	}
 	if tracer != nil {
-		p.ct = startCallTrace(tracer, ctx, SpanClientCall, opName, c.Shard)
+		p.inv.ct = startCallTrace(tracer, ctx, SpanClientCall, op.Name, c.Shard)
 	}
 
 	if b := c.Breaker; b != nil && !b.allow() {
-		if metrics != nil {
-			metrics.BreakerRejects.Add(1)
+		if p.inv.metrics != nil {
+			p.inv.metrics.BreakerRejects.Add(1)
 		}
-		p.ct.event("breaker-reject", "call shed, breaker open")
+		p.inv.ct.event("breaker-reject", "call shed, breaker open")
 		p.err = ErrBreakerOpen
 		p.preempted = true
 		return p
 	}
 
-	if p.ct != nil {
-		p.attemptID = p.ct.tr.nextID()
-		p.attemptBegin = time.Now()
-	}
-	p.s, p.ca, p.xid, p.err, p.sent = c.beginAttempt(ctx, proc, opName, false, marshal, nil, metrics, p.ct, p.attemptID)
+	p.inv.ct.startAttempt()
+	p.s, p.ca, p.xid, p.err, p.sent = c.beginAttempt(&p.inv)
 	return p
 }
 
@@ -119,61 +99,25 @@ func (p *Promise) Wait() (*Decoder, error) {
 		return nil, ErrPromiseSettled
 	}
 	p.settled = true
-	c := p.c
-	metrics := c.Metrics
+	c, inv := p.c, &p.inv
 
 	if p.preempted {
-		p.finish(nil, p.err, metrics)
+		c.observe(inv, p.begin, nil, p.err)
 		return nil, p.err
 	}
 
 	var d *Decoder
-	err, sent := p.err, p.sent
-	if err == nil {
-		d, err = c.awaitAttempt(p.ctx, p.s, p.ca, p.xid, metrics)
-		sent = true
+	err := p.err
+	if err == nil && p.ca != nil {
+		d, err = c.awaitAttempt(inv, p.s, p.ca, p.xid)
 	}
-	if p.ct != nil {
-		// The issue-time attempt span, recorded at resolution: its ID is
-		// the one the wire annotation carried, so the server's dispatch
-		// span parents to exactly this attempt.
-		sp := &Span{
-			Trace: p.ct.tc.TraceID, ID: p.attemptID, Parent: p.ct.tc.SpanID,
-			Kind: SpanAttempt, Op: p.opName, XID: p.ct.lastXID, Sess: p.ct.shard,
-			Start: p.attemptBegin, Dur: time.Since(p.attemptBegin), Sampled: true,
-		}
-		if err != nil {
-			sp.Err = err.Error()
-		}
-		p.ct.tr.record(sp)
-	}
+	// The issue-time attempt span, recorded at resolution: its ID is
+	// the one the wire annotation carried, so the server's dispatch
+	// span parents to exactly this attempt.
+	inv.ct.endAttempt(err)
 	if c.Retry != nil || c.Redial != nil || c.Breaker != nil {
-		d, err = c.settleAttempts(p.ctx, d, err, sent, p.proc, p.opName, false, p.idempotent, p.marshal, nil, metrics, p.ct)
+		d, err = c.settleAttempts(inv, d, err, p.sent)
 	}
-	p.finish(d, err, metrics)
+	c.observe(inv, p.begin, d, err)
 	return d, err
-}
-
-// finish finalizes the promise's observability: per-op metrics (calls,
-// errors, reply bytes, issue-to-resolve latency) and the client-call
-// span.
-func (p *Promise) finish(d *Decoder, err error, metrics *Metrics) {
-	if metrics != nil {
-		op := metrics.Op(p.opName)
-		op.Calls.Add(1)
-		if d != nil {
-			op.RepBytes.Add(uint64(d.Size()))
-		}
-		if err != nil {
-			op.Errors.Add(1)
-		}
-		op.Latency.Observe(time.Since(p.begin))
-	}
-	if tracer := p.c.Tracer; tracer != nil {
-		if p.ct != nil {
-			p.ct.finish(err)
-		} else if err != nil {
-			recordErrorSpan(tracer, SpanClientCall, p.opName, p.c.Shard, p.begin, err)
-		}
-	}
 }

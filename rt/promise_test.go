@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Tests for the async/promise surface: CallAsync transmits at issue
+// Tests for the async/promise surface: Go transmits at issue
 // time, Wait resolves through the shared classification loop, so a
 // promise pipelines like the paper's §5 depth experiments and fails
 // exactly like a sync call.
@@ -25,7 +25,7 @@ func TestPromisePipelined(t *testing.T) {
 	ps := make([]*Promise, n)
 	for i := range ps {
 		v := uint32(i + 1)
-		ps[i] = c.CallAsync(1, "double", true, func(e *Encoder) { e.PutU32BEC(v) })
+		ps[i] = c.Go(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(v) })
 	}
 	for i, p := range ps {
 		d, err := p.Wait()
@@ -43,13 +43,31 @@ func TestPromisePipelined(t *testing.T) {
 	waitPoolBalance(t, before)
 }
 
+// TestPromiseOneway: a oneway op has no reply to collect, so its
+// promise resolves to (nil, nil) once the request is sent, and the
+// request still reaches the handler.
+func TestPromiseOneway(t *testing.T) {
+	conn, sm, _ := startObservedServer(t)
+	c := newEchoClient(conn)
+	note := &Op{Proc: 3, Name: "note", Oneway: true}
+	if d, err := c.Go(nil, note, func(e *Encoder) {}).Wait(); d != nil || err != nil {
+		t.Fatalf("oneway promise = (%v, %v), want (nil, nil)", d, err)
+	}
+	// The pipe delivers in order: once a later call is answered, the
+	// note was dispatched.
+	doubleCall(t, c, 1)
+	if got := sm.Op("note").Calls.Load(); got != 1 {
+		t.Errorf("server saw %d notes, want 1", got)
+	}
+}
+
 // TestPromiseSettledOnce pins the single-shot contract: the second Wait
 // reports ErrPromiseSettled instead of touching the consumed slot.
 func TestPromiseSettledOnce(t *testing.T) {
 	conn := startEchoServer(t, 1)
 	c := newEchoClient(conn)
 
-	p := c.CallAsync(1, "double", true, func(e *Encoder) { e.PutU32BEC(21) })
+	p := c.Go(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(21) })
 	d, err := p.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +102,7 @@ func startStallServer(t *testing.T) Conn {
 }
 
 // TestPromiseClassificationMatchesSync drives the same two failure
-// scenarios through a sync call and through CallAsync+Wait and checks
+// scenarios through a sync call and through Go+Wait and checks
 // the errors classify identically under errors.Is — the acceptance
 // contract for the async surface.
 func TestPromiseClassificationMatchesSync(t *testing.T) {
@@ -102,10 +120,10 @@ func TestPromiseClassificationMatchesSync(t *testing.T) {
 		c := newEchoClient(clientEnd)
 		c.Retry = policy()
 		if async {
-			_, err := c.CallAsync(1, "double", true, func(e *Encoder) { e.PutU32BEC(1) }).Wait()
+			_, err := c.Go(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(1) }).Wait()
 			return err
 		}
-		_, err := c.CallIdem(1, "double", false, true, func(e *Encoder) { e.PutU32BEC(1) })
+		_, err := c.Do(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(1) })
 		return err
 	}
 
@@ -117,10 +135,10 @@ func TestPromiseClassificationMatchesSync(t *testing.T) {
 		c.Timeout = 25 * time.Millisecond
 		c.Retry = policy()
 		if async {
-			_, err := c.CallAsync(9, "stall", false, func(e *Encoder) { e.PutU32BEC(1) }).Wait()
+			_, err := c.Go(nil, &Op{Proc: 9, Name: "stall"}, func(e *Encoder) { e.PutU32BEC(1) }).Wait()
 			return err
 		}
-		_, err := c.CallIdem(9, "stall", false, false, func(e *Encoder) { e.PutU32BEC(1) })
+		_, err := c.Do(nil, &Op{Proc: 9, Name: "stall"}, func(e *Encoder) { e.PutU32BEC(1) })
 		return err
 	}
 
@@ -164,13 +182,13 @@ func TestPromiseBreakerPreempt(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		b.failure() // trip it
 	}
-	p := c.CallAsync(1, "double", true, func(e *Encoder) { e.PutU32BEC(1) })
+	p := c.Go(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(1) })
 	if _, err := p.Wait(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Wait = %v, want ErrBreakerOpen", err)
 	}
 }
 
-// TestPoolCallAsync spreads async calls across a pool and resolves them
+// TestPoolCallAsync spreads ClientPool.Go calls across a pool and resolves them
 // out of issue order; each promise must still carry its own reply.
 func TestPoolCallAsync(t *testing.T) {
 	const size = 3
@@ -185,7 +203,7 @@ func TestPoolCallAsync(t *testing.T) {
 	ps := make([]*Promise, n)
 	for i := range ps {
 		v := uint32(i + 1)
-		ps[i] = p.CallAsync(1, "double", true, func(e *Encoder) { e.PutU32BEC(v) })
+		ps[i] = p.Go(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(v) })
 	}
 	// Resolve back-to-front to prove resolution order is free.
 	for i := n - 1; i >= 0; i-- {
@@ -214,7 +232,7 @@ func TestPromiseConcurrentWaiters(t *testing.T) {
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		v := uint32(i + 1)
-		p := c.CallAsync(1, "double", true, func(e *Encoder) { e.PutU32BEC(v) })
+		p := c.Go(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(v) })
 		wg.Add(1)
 		go func(i int, p *Promise, want uint32) {
 			defer wg.Done()

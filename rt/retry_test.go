@@ -164,7 +164,7 @@ func TestIdempotentRetrySucceeds(t *testing.T) {
 	c.Metrics = NewMetrics()
 	c.Retry = &RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, Seed: 1}
 
-	d, err := c.CallIdem(1, "double", false, true, func(e *Encoder) { e.PutU32BEC(21) })
+	d, err := c.Do(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(21) })
 	if err != nil {
 		t.Fatalf("idempotent call over flaky conn: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestLostRequestRetriedByTimeout(t *testing.T) {
 	c.Timeout = 50 * time.Millisecond
 	c.Retry = &RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, Seed: 1}
 
-	d, err := c.CallIdem(1, "double", false, true, func(e *Encoder) { e.PutU32BEC(5) })
+	d, err := c.Do(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(5) })
 	if err != nil {
 		t.Fatalf("call over swallowing conn: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestNonIdempotentFailsFast(t *testing.T) {
 	c := newEchoClient(flaky)
 	c.Retry = &RetryPolicy{MaxAttempts: 5, BaseBackoff: 100 * time.Microsecond, Seed: 1}
 
-	_, err := c.CallIdem(1, "double", false, false, func(e *Encoder) { e.PutU32BEC(1) })
+	_, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) })
 	if !errors.Is(err, ErrNotRetryable) {
 		t.Fatalf("non-idempotent failure = %v, want ErrNotRetryable", err)
 	}
@@ -243,7 +243,7 @@ func TestRetryExhaustionClassification(t *testing.T) {
 	c.Timeout = 20 * time.Millisecond
 	c.Retry = &RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond, Seed: 1}
 
-	_, err := c.CallIdem(1, "double", false, true, func(e *Encoder) { e.PutU32BEC(1) })
+	_, err := c.Do(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(1) })
 	if !errors.Is(err, ErrRetryable) {
 		t.Errorf("exhausted retries = %v, want ErrRetryable class", err)
 	}
@@ -272,7 +272,7 @@ func TestRetryBudgetBoundsTheCall(t *testing.T) {
 	c.Retry = &RetryPolicy{MaxAttempts: 100, BaseBackoff: 5 * time.Millisecond, Budget: 60 * time.Millisecond, Seed: 1}
 
 	begin := time.Now()
-	_, err := c.CallIdem(1, "double", false, true, func(e *Encoder) { e.PutU32BEC(1) })
+	_, err := c.Do(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(1) })
 	elapsed := time.Since(begin)
 	if !errors.Is(err, ErrRetryable) {
 		t.Errorf("budget-bounded call = %v, want ErrRetryable", err)
@@ -291,7 +291,7 @@ func TestServerFaultIsTerminal(t *testing.T) {
 	c.Retry = &RetryPolicy{MaxAttempts: 5, BaseBackoff: 100 * time.Microsecond, Seed: 1}
 	c.Breaker = &Breaker{Threshold: 1}
 
-	_, err := c.CallIdem(2, "fail", false, true, func(e *Encoder) {})
+	_, err := c.Do(nil, &Op{Proc: 2, Name: "fail", Idempotent: true}, func(e *Encoder) {})
 	if !errors.Is(err, ErrSystem) {
 		t.Fatalf("server fault = %v, want ErrSystem", err)
 	}
@@ -324,7 +324,7 @@ func TestRedialReconnects(t *testing.T) {
 		clientEnd, serverEnd := Pipe()
 		s := NewServer(ONC{})
 		s.Register(7, 1, echoDispatch)
-		go s.ServeConn(serverEnd)
+		serveConn(t, s, serverEnd)
 		return clientEnd
 	}
 	first := newServerConn()
@@ -351,7 +351,7 @@ func TestRedialRespectsClose(t *testing.T) {
 	c.Retry = &RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, Seed: 1}
 	c.Redial = func() (Conn, error) { a, _ := Pipe(); return a, nil }
 	c.Close()
-	if _, err := c.CallIdem(1, "double", false, true, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrClosed) {
+	if _, err := c.Do(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrClosed) {
 		t.Errorf("call on closed redialing client = %v, want ErrClosed", err)
 	}
 }
@@ -370,7 +370,7 @@ func TestBreakerShedsAndRecovers(t *testing.T) {
 
 	down.Store(true)
 	for i := 0; i < 2; i++ {
-		if _, err := c.CallIdem(1, "double", false, true, func(e *Encoder) { e.PutU32BEC(1) }); err == nil {
+		if _, err := c.Do(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(1) }); err == nil {
 			t.Fatal("call over dead transport succeeded")
 		}
 	}
@@ -381,7 +381,7 @@ func TestBreakerShedsAndRecovers(t *testing.T) {
 		t.Errorf("BreakerOpen = %d, want 1", got)
 	}
 	before := gate.sends.Load()
-	if _, err := c.CallIdem(1, "double", false, true, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := c.Do(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(1) }); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("shed call = %v, want ErrBreakerOpen", err)
 	}
 	if gate.sends.Load() != before {

@@ -82,20 +82,19 @@ type Server struct {
 	// Metrics, when non-nil, collects per-operation dispatch counters,
 	// latency histograms, byte totals, transport-level counters
 	// (connections, dropped malformed headers, connection failures),
-	// and the QueueDepth gauge. Hooks, when non-nil, receives one
-	// TraceEvent per dispatched request, dropped request, and failed
-	// connection. Both must be set before serving and not changed
+	// and the QueueDepth gauge. Set before serving and do not change it
 	// after; nil (the default) costs one pointer test per request.
 	Metrics *Metrics
-	Hooks   TraceHook
 
 	// Tracer, when non-nil, records a SpanServerDispatch span for every
 	// request that arrived carrying a sampled trace annotation, parented
 	// to the client attempt span that sent it (span.go). Requests the
 	// server refuses — admission rejects, duplicate suppressions — are
 	// recorded as zero-work spans with cause-labeled events so the
-	// client-side gap is explainable. Untraced and unsampled requests
-	// cost one pointer test. Share one Tracer between client and server
+	// client-side gap is explainable. Connection failures
+	// (SpanConnError) and unparseable request headers are always
+	// recorded as error spans. Untraced and unsampled requests cost one
+	// pointer test. Share one Tracer between client and server
 	// in-process to land whole call trees in one ring. Set before
 	// serving.
 	Tracer *Tracer
@@ -250,7 +249,7 @@ func (f *connFail) get() error {
 // dispatch and send replies (possibly out of order). Remaining queued
 // requests drain before ServeConn returns.
 func (s *Server) ServeConn(conn Conn) error {
-	metrics, hooks := s.Metrics, s.Hooks
+	metrics := s.Metrics
 	if metrics != nil {
 		metrics.Conns.Add(1)
 	}
@@ -274,14 +273,13 @@ func (s *Server) ServeConn(conn Conn) error {
 	if s.IdleTimeout > 0 {
 		idle, _ = conn.(deadlineConn)
 	}
-	var dups *dupCache
-	if s.DupWindow > 0 {
-		dups = newDupCache(s.DupWindow)
+	sc := &servingConn{
+		conn: conn, cs: newConnStreams(conn), calls: newConnCalls(),
+		jobs: make(chan srvJob, qlen), metrics: metrics,
 	}
-	jobs := make(chan srvJob, qlen)
-	fail := &connFail{}
-	cs := newConnStreams(conn)
-	sc := &servingConn{conn: conn, cs: cs, calls: newConnCalls()}
+	if s.DupWindow > 0 {
+		sc.dups = newDupCache(s.DupWindow)
+	}
 	s.connMu.Lock()
 	if s.conns == nil {
 		s.conns = make(map[*servingConn]struct{})
@@ -303,7 +301,7 @@ func (s *Server) ServeConn(conn Conn) error {
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
-			s.worker(conn, jobs, metrics, hooks, fail, dups, sc)
+			s.worker(sc)
 		}()
 	}
 
@@ -350,7 +348,7 @@ func (s *Server) ServeConn(conn Conn) error {
 				metrics.BatchedCalls.Add(uint64(len(parts)))
 			}
 			for _, part := range parts {
-				s.acceptFrame(conn, part, nil, jobs, metrics, hooks, fail, dups, sc)
+				s.acceptFrame(sc, part, nil)
 			}
 			continue
 		}
@@ -358,18 +356,18 @@ func (s *Server) ServeConn(conn Conn) error {
 		if connArena {
 			arena = msg
 		}
-		s.acceptFrame(conn, msg, arena, jobs, metrics, hooks, fail, dups, sc)
+		s.acceptFrame(sc, msg, arena)
 	}
 
 	// Graceful drain: stop feeding, let the workers finish what is
 	// queued, then surface any reply-write failure. Failing the stream
 	// registry first unblocks any handler waiting on chunk credit —
 	// no more grants are coming — so the drain cannot deadlock.
-	close(jobs)
-	cs.fail(ErrClosed)
+	close(sc.jobs)
+	sc.cs.fail(ErrClosed)
 	wg.Wait()
 	if loopErr == nil {
-		if serr := fail.get(); serr != nil && !errors.Is(serr, io.EOF) && !errors.Is(serr, ErrClosed) {
+		if serr := sc.fail.get(); serr != nil && !errors.Is(serr, io.EOF) && !errors.Is(serr, ErrClosed) {
 			loopErr = serr
 		}
 	}
@@ -382,9 +380,8 @@ func (s *Server) ServeConn(conn Conn) error {
 // hand the request to the worker pool. arena, when non-nil, is the
 // whole receive buffer backing msg, transferred to the request decoder
 // so its release recycles (or pins) the buffer.
-func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
-	metrics *Metrics, hooks TraceHook, fail *connFail, dups *dupCache, sc *servingConn) {
-	cs := sc.cs
+func (s *Server) acceptFrame(sc *servingConn, msg, arena []byte) {
+	metrics := sc.metrics
 	if kind, sxid, arg, _, ok := SplitStream(msg); ok {
 		// Upstream control frames from the client: stream credit and
 		// cancellation applied to the stream ledger, call cancellation
@@ -392,7 +389,7 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 		// arriving here are malformed noise — dropped.
 		switch kind {
 		case streamGrant, streamCancel:
-			cs.control(kind, sxid, arg)
+			sc.cs.control(kind, sxid, arg)
 		case frameCallCancel:
 			// The client stopped waiting on call sxid: cancel its
 			// handler context if it is dispatching (counted here), or
@@ -413,7 +410,7 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 	tc, msg, traced := SplitTrace(msg)
 	sampled := s.Tracer != nil && traced && tc.Sampled
 	var begin time.Time
-	if metrics != nil || hooks != nil || sampled {
+	if metrics != nil || sampled {
 		begin = time.Now()
 	}
 	d := getDecoder()
@@ -434,17 +431,18 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 			metrics.BadHeaders.Add(1)
 			metrics.addDec(d.TakeStats())
 		}
-		if hooks != nil {
-			hooks.Trace(&TraceEvent{
-				Kind: TraceBadHeader, Begin: begin, End: time.Now(),
-				ReqBytes: reqBytes, Err: err,
-			})
+		if tracer := s.Tracer; tracer != nil {
+			if begin.IsZero() {
+				begin = time.Now()
+			}
+			recordErrorSpan(tracer, SpanServerDispatch, "", 0, begin,
+				fmt.Errorf("rt: request header (%d bytes): %w", reqBytes, err))
 		}
 		putDecoder(d)
 		return
 	}
 	h.Trace, h.Traced = tc, traced
-	h.streams = cs
+	h.streams = sc.cs
 	h.calls = sc.calls
 	if hasDeadline {
 		// The wire budget is relative; pin it to this host's clock once,
@@ -458,7 +456,7 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 			// budgets to zero): shed as a zero-work refusal, like an
 			// admission reject — but terminally, since the client's
 			// budget cannot revive. The handler never runs.
-			s.shedFrame(conn, &h, d, metrics, fail, ReplyExpired)
+			s.shedFrame(sc, &h, d, ReplyExpired)
 			if metrics != nil {
 				metrics.ExpiredRejects.Add(1)
 			}
@@ -474,7 +472,7 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 		// arrived anyway. Shed it as retryable overload — it provably
 		// did not execute, so the client's pool fails it over to a
 		// healthy server and no call is lost to the drain.
-		s.shedFrame(conn, &h, d, metrics, fail, ReplyOverloaded)
+		s.shedFrame(sc, &h, d, ReplyOverloaded)
 		if metrics != nil {
 			metrics.DrainRejects.Add(1)
 		}
@@ -484,8 +482,8 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 		}
 		return
 	}
-	if dups != nil {
-		if dup, cached := dups.begin(h.XID); dup {
+	if sc.dups != nil {
+		if dup, cached := sc.dups.begin(h.XID); dup {
 			// A retransmitted request: re-send the cached reply if
 			// the original already answered (the client's first
 			// reply may have been lost); drop it if the original is
@@ -496,8 +494,8 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 			}
 			putDecoder(d)
 			if cached != nil {
-				if err := conn.Send(cached); err != nil {
-					fail.record(conn, err)
+				if err := sc.conn.Send(cached); err != nil {
+					sc.fail.record(sc.conn, err)
 				}
 				if sampled {
 					s.recordRefusalSpan(&h, begin, "", "dup-cached-resend",
@@ -519,7 +517,7 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 			// decode loop, so shedding stays cheap precisely when the
 			// server is busiest. Oneway requests are simply dropped
 			// (nothing waits for them).
-			s.shedFrame(conn, &h, d, metrics, fail, ReplyOverloaded)
+			s.shedFrame(sc, &h, d, ReplyOverloaded)
 			if metrics != nil {
 				metrics.AdmissionRejects.Add(1)
 			}
@@ -537,16 +535,16 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 	// Ownership handoff, not retention: the acceptor passes the
 	// decoder to exactly one worker, which releases it after
 	// dispatch.
-	jobs <- srvJob{h: h, dec: d, reqBytes: reqBytes, begin: begin, admWeight: admWeight} //lint:allow poolescape
+	sc.jobs <- srvJob{h: h, dec: d, reqBytes: reqBytes, begin: begin, admWeight: admWeight} //lint:allow poolescape
 }
 
 // shedFrame refuses one parsed request without dispatching it: the
 // pooled decoder is released and a header-only status reply is written
 // straight from the decode loop (oneways are dropped — nothing waits
 // for them).
-func (s *Server) shedFrame(conn Conn, h *ReqHeader, d *Decoder, metrics *Metrics, fail *connFail, status uint32) {
-	if metrics != nil {
-		metrics.addDec(d.TakeStats())
+func (s *Server) shedFrame(sc *servingConn, h *ReqHeader, d *Decoder, status uint32) {
+	if sc.metrics != nil {
+		sc.metrics.addDec(d.TakeStats())
 	}
 	putDecoder(d)
 	if h.OneWay {
@@ -554,8 +552,8 @@ func (s *Server) shedFrame(conn Conn, h *ReqHeader, d *Decoder, metrics *Metrics
 	}
 	enc := getEncoder()
 	s.proto.WriteReply(enc, &RepHeader{XID: h.XID, Status: status})
-	if err := conn.Send(enc.Bytes()); err != nil {
-		fail.record(conn, err)
+	if err := sc.conn.Send(enc.Bytes()); err != nil {
+		sc.fail.record(sc.conn, err)
 	}
 	putEncoder(enc)
 }
@@ -596,18 +594,18 @@ func safeDispatch(dispatch Dispatch, h *ReqHeader, d *Decoder, e *Encoder) (err 
 	return err, false
 }
 
-func (s *Server) worker(conn Conn, jobs <-chan srvJob, metrics *Metrics, hooks TraceHook, fail *connFail, dups *dupCache, sc *servingConn) {
+func (s *Server) worker(sc *servingConn) {
+	metrics := sc.metrics
 	var enc Encoder
 	if metrics != nil {
 		enc.EnableStats(true)
 	}
-	observed := metrics != nil || hooks != nil
 	// Both headers live outside the loop: their addresses escape into
 	// interface calls (lookup, WriteReply, dispatch), so per-iteration
 	// declarations would cost one heap allocation per request.
 	var h ReqHeader
 	var rh RepHeader
-	for job := range jobs {
+	for job := range sc.jobs {
 		if metrics != nil {
 			metrics.QueueDepth.Add(-1)
 		}
@@ -633,7 +631,7 @@ func (s *Server) worker(conn Conn, jobs <-chan srvJob, metrics *Metrics, hooks T
 						"shed before dispatch; the client abandoned the call")
 				}
 			case killed:
-				s.shedFrame(conn, &h, dec, metrics, fail, ReplyOverloaded)
+				s.shedFrame(sc, &h, dec, ReplyOverloaded)
 				if metrics != nil {
 					metrics.DrainRejects.Add(1)
 				}
@@ -642,7 +640,7 @@ func (s *Server) worker(conn Conn, jobs <-chan srvJob, metrics *Metrics, hooks T
 						"shed from the queue at the drain deadline")
 				}
 			default:
-				s.shedFrame(conn, &h, dec, metrics, fail, ReplyExpired)
+				s.shedFrame(sc, &h, dec, ReplyExpired)
 				if metrics != nil {
 					metrics.ExpiredRejects.Add(1)
 				}
@@ -682,15 +680,15 @@ func (s *Server) worker(conn Conn, jobs <-chan srvJob, metrics *Metrics, hooks T
 		if !h.OneWay {
 			// Vectored when the skeleton aliased reply payload segments
 			// and the transport can scatter/gather.
-			if err := sendEncoded(conn, &enc); err != nil {
-				fail.record(conn, err)
+			if err := sendEncoded(sc.conn, &enc); err != nil {
+				sc.fail.record(sc.conn, err)
 			} else {
 				replied = true
-				if dups != nil {
+				if sc.dups != nil {
 					// Cache a private copy of the reply so a
 					// retransmitted request re-sends it instead of
 					// re-executing the operation.
-					dups.finish(h.XID, append([]byte(nil), enc.Bytes()...))
+					sc.dups.finish(h.XID, append([]byte(nil), enc.Bytes()...))
 				}
 			}
 		}
@@ -698,8 +696,8 @@ func (s *Server) worker(conn Conn, jobs <-chan srvJob, metrics *Metrics, hooks T
 		// via (*ReqHeader).Context (frees its deadline timer and
 		// detaches it from the cancel registry).
 		sc.calls.finish(h.XID)
-		if observed {
-			s.finishRequest(metrics, hooks, &h, job.begin, job.reqBytes, &enc, dec, workErr, replied)
+		if metrics != nil {
+			sc.finishRequest(&h, &job, &enc, workErr, replied)
 		}
 		if tracer := s.Tracer; tracer != nil && h.Traced && h.Trace.Sampled {
 			// The dispatch span: parented to the client attempt span
@@ -731,44 +729,26 @@ func (s *Server) releaseJob(job *srvJob, sc *servingConn) {
 	sc.inflight.Add(-1)
 }
 
-// finishRequest records one dispatched request into the attached
-// metrics and trace hook. It runs only when observability is enabled.
-func (s *Server) finishRequest(metrics *Metrics, hooks TraceHook, h *ReqHeader,
-	begin time.Time, reqBytes int, enc *Encoder, dec *Decoder, workErr error, replied bool) {
-	repBytes := 0
+// finishRequest records one dispatched request into the connection's
+// metrics. It runs only when metrics are attached.
+func (sc *servingConn) finishRequest(h *ReqHeader, job *srvJob, enc *Encoder, workErr error, replied bool) {
+	metrics := sc.metrics
+	op := metrics.Op(opLabel(h))
+	op.Calls.Add(1)
+	op.ReqBytes.Add(uint64(job.reqBytes))
 	if replied {
-		repBytes = enc.Len()
+		op.RepBytes.Add(uint64(enc.Len()))
 	}
-	if metrics != nil {
-		op := metrics.Op(opLabel(h))
-		op.Calls.Add(1)
-		op.ReqBytes.Add(uint64(reqBytes))
-		op.RepBytes.Add(uint64(repBytes))
-		if workErr != nil {
-			op.Errors.Add(1)
-			metrics.DispatchErrors.Add(1)
-		}
-		if h.OneWay {
-			metrics.Oneways.Add(1)
-		}
-		op.Latency.Observe(time.Since(begin))
-		metrics.addEnc(enc.TakeStats())
-		metrics.addDec(dec.TakeStats())
+	if workErr != nil {
+		op.Errors.Add(1)
+		metrics.DispatchErrors.Add(1)
 	}
-	if hooks != nil {
-		ev := &TraceEvent{
-			Kind: TraceServerDispatch, Op: h.OpName, Proc: h.Proc, XID: h.XID,
-			OneWay: h.OneWay, Begin: begin, End: time.Now(),
-			ReqBytes: reqBytes, RepBytes: repBytes, Err: workErr,
-		}
-		if replied {
-			ev.Sent = ev.End
-		}
-		if hooks.WantWire() && replied {
-			ev.RepWire = append([]byte(nil), enc.Bytes()...)
-		}
-		hooks.Trace(ev)
+	if h.OneWay {
+		metrics.Oneways.Add(1)
 	}
+	op.Latency.Observe(time.Since(job.begin))
+	metrics.addEnc(enc.TakeStats())
+	metrics.addDec(job.dec.TakeStats())
 }
 
 // opLabel names an operation for the metrics registry: the wire or
@@ -799,8 +779,8 @@ func utoa(v uint32) string {
 
 // Serve accepts connections until the listener closes, answering each on
 // its own goroutine. Per-connection failures end only that connection;
-// they are routed to the server's Metrics (ConnErrors) and trace hook
-// rather than being silently discarded.
+// they are routed to the server's Metrics (ConnErrors) and Tracer (a
+// SpanConnError span) rather than being silently discarded.
 func (s *Server) Serve(l Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -816,14 +796,13 @@ func (s *Server) Serve(l Listener) error {
 	}
 }
 
-// connError surfaces a connection-level failure through the
-// observability layer.
+// connError surfaces a connection-level failure: counted in
+// ConnErrors and recorded as an always-on SpanConnError span.
 func (s *Server) connError(err error) {
 	if s.Metrics != nil {
 		s.Metrics.ConnErrors.Add(1)
 	}
-	if s.Hooks != nil {
-		now := time.Now()
-		s.Hooks.Trace(&TraceEvent{Kind: TraceConnError, Begin: now, End: now, Err: err})
+	if s.Tracer != nil {
+		recordErrorSpan(s.Tracer, SpanConnError, "", 0, time.Now(), err)
 	}
 }

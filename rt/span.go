@@ -1,21 +1,21 @@
 // Distributed tracing: wire-propagated trace context and the span
 // recorder.
 //
-// PR 1's trace hooks see one process at a time; after the scale-out
-// fabric a single logical call crosses a pool shard, a batch frame,
-// admission control, retries, and failover, and no single-process view
-// can say where the time went. This file adds the missing causal
-// substrate: a 128-bit trace ID plus span ID carried on the wire (see
-// the trace annotation in proto.go), a Tracer that records completed
-// spans into a fixed-size lock-free ring with head-based probabilistic
-// sampling (errors are always recorded), and a Chrome trace_event JSON
-// exporter so a chaos soak or fleet sweep drops a load-able timeline.
+// A single logical call crosses a pool shard, a batch frame, admission
+// control, retries, and failover, and no single-process view can say
+// where the time went. This file is the causal substrate: a 128-bit
+// trace ID plus span ID carried on the wire (see the trace annotation
+// in proto.go), a Tracer that records completed spans into a
+// fixed-size lock-free ring with head-based probabilistic sampling
+// (errors are always recorded), and a Chrome trace_event JSON exporter
+// so a chaos soak or fleet sweep drops a load-able timeline. Spans and
+// Metrics are the runtime's whole per-call observability surface.
 //
 // Span taxonomy (the tree one traced call produces):
 //
-//	pool     ClientPool.Call, when the pool owns the root (failover
+//	pool     ClientPool.Do, when the pool owns the root (failover
 //	         events hang here)
-//	└ call   one Client.Call invocation: the retry loop. Retries,
+//	└ call   one Client.Do invocation: the retry loop. Retries,
 //	         redials, breaker trips, and admission rejects are
 //	         cause-labeled events on this span.
 //	  └ attempt   one callOnce: a fresh XID on one session. The span
@@ -28,8 +28,9 @@
 // carried in the annotation's sampled flag; downstream spans inherit
 // it. A call that completes with an error is recorded even when
 // unsampled (with a fresh, unpropagated trace ID) so failures never
-// vanish from the ring. The disabled and unsampled paths are
-// allocation-free — pinned by TestTracingDisabledAllocs.
+// vanish from the ring; so are connection teardowns (SpanConnError)
+// and unparseable request headers. The disabled and unsampled paths
+// are allocation-free — pinned by TestCallAllocsUnchanged.
 package rt
 
 import (
@@ -67,9 +68,9 @@ type TraceContext struct {
 type traceCtxKey struct{}
 
 // ContextWithTrace returns a context carrying tc, for handlers that
-// make downstream calls: pass the returned context to CallIdemCtx and
+// make downstream calls: pass the returned context to Client.Do and
 // the downstream call's spans join the same trace. A nil ctx is
-// treated as context.Background (Call and CallIdem pass nil).
+// treated as context.Background.
 func ContextWithTrace(ctx context.Context, tc TraceContext) context.Context {
 	if ctx == nil {
 		ctx = context.Background()
@@ -91,7 +92,7 @@ func TraceFromContext(ctx context.Context) (TraceContext, bool) {
 // propagated deadline (if the request carried one), and — inside a
 // serving connection — is canceled when the client abandons the call
 // with a cancel frame or a drain deadline kills the connection's
-// remaining work. Handlers pass it to downstream CallIdemCtx calls so
+// remaining work. Handlers pass it to downstream Client.Do calls so
 // traces and deadlines propagate hop by hop, and watch ctx.Done() in
 // long-running work. The runtime releases the context's resources when
 // the dispatch finishes; call it at most once per request and do not
@@ -133,6 +134,13 @@ const (
 	// SpanBatchFlush is one multi-message batch frame cut by the
 	// coalescing writer, with its flush reason as an event.
 	SpanBatchFlush
+	// SpanConnError is a connection that ended with a transport or
+	// protocol error, recorded whenever a Tracer is attached: a server
+	// connection that died mid-serve, or a client session torn down by
+	// a receive failure, an unparseable reply header, or a
+	// desynchronized stream. Client-side spans carry the pool session
+	// index in Sess.
+	SpanConnError
 )
 
 func (k SpanKind) String() string {
@@ -147,6 +155,8 @@ func (k SpanKind) String() string {
 		return "dispatch"
 	case SpanBatchFlush:
 		return "batch-flush"
+	case SpanConnError:
+		return "conn-error"
 	}
 	return fmt.Sprintf("SpanKind(%d)", uint8(k))
 }
@@ -446,9 +456,37 @@ type callTrace struct {
 	shard  int
 	begin  time.Time
 	events []SpanEvent
-	// lastXID is a backchannel from callAttempt to the attempt-span
-	// recorder: the XID the attempt actually used.
-	lastXID uint32
+	// The current attempt: its span ID (the one the wire annotation
+	// carries), start, and the XID it used.
+	attempt      uint64
+	attemptBegin time.Time
+	lastXID      uint32
+}
+
+// startAttempt opens a new attempt span. Safe on a nil receiver.
+func (ct *callTrace) startAttempt() {
+	if ct == nil {
+		return
+	}
+	ct.attempt = ct.tr.nextID()
+	ct.attemptBegin = time.Now()
+}
+
+// endAttempt records the current attempt as a SpanAttempt child of the
+// call span. Safe on a nil receiver.
+func (ct *callTrace) endAttempt(err error) {
+	if ct == nil {
+		return
+	}
+	sp := &Span{
+		Trace: ct.tc.TraceID, ID: ct.attempt, Parent: ct.tc.SpanID,
+		Kind: SpanAttempt, Op: ct.op, XID: ct.lastXID, Sess: ct.shard,
+		Start: ct.attemptBegin, Dur: time.Since(ct.attemptBegin), Sampled: true,
+	}
+	if err != nil {
+		sp.Err = err.Error()
+	}
+	ct.tr.record(sp)
 }
 
 // event appends a cause-labeled event. Safe on a nil receiver.

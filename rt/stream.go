@@ -144,8 +144,8 @@ type ClientStream struct {
 	// automatically restores as chunks are consumed (0 = fully manual).
 	window int
 	ch     chan streamMsg
-	// ctx is the caller context from CallStreamCtx (nil for CallStream):
-	// Recv aborts the stream when it is canceled or expires.
+	// ctx is the caller context passed to Stream (possibly nil): Recv
+	// aborts the stream when it is canceled or expires.
 	ctx context.Context
 
 	// mu guards the delivery side. Lock order: session.mu, then mu.
@@ -163,76 +163,29 @@ type ClientStream struct {
 	consumed int // chunks consumed since the last automatic re-grant
 }
 
-// CallStream begins one server-push streaming invocation: marshal
+// Stream begins one server-push streaming invocation of op: marshal
 // writes the request payload, window grants the server its initial
 // chunk credit (0 starts the stream fully blocked until Grant), and the
 // returned stream yields the pushed chunks. The request is transmitted
-// before CallStream returns; there is no retry path — a broken stream
+// before Stream returns; there is no retry path — a broken stream
 // surfaces ErrStreamBroken and the caller decides whether to re-issue.
-func (c *Client) CallStream(proc uint32, opName string, window int, marshal func(*Encoder)) (*ClientStream, error) {
-	return c.CallStreamCtx(nil, proc, opName, window, marshal)
-}
-
-// CallStreamCtx is CallStream with a caller context: a ctx deadline
-// travels on the wire as the deadline annotation (the server inherits
-// the remaining budget and sheds the request if it expires in queue),
-// and ctx cancellation or expiry aborts a blocked Recv, tearing the
-// stream down exactly like a Recv timeout — terminal, with a
-// best-effort cancel frame unblocking the server-side sender. A nil
-// ctx is allowed and means "no propagated deadline or cancellation".
-func (c *Client) CallStreamCtx(ctx context.Context, proc uint32, opName string, window int, marshal func(*Encoder)) (*ClientStream, error) {
+// A non-nil ctx's deadline travels on the wire as the deadline
+// annotation (the server inherits the remaining budget and sheds the
+// request if it expires in queue), and its cancellation or expiry
+// aborts a blocked Recv, tearing the stream down exactly like a Recv
+// timeout — terminal, with a best-effort cancel frame unblocking the
+// server-side sender.
+func (c *Client) Stream(ctx context.Context, op *Op, window int, marshal func(*Encoder)) (*ClientStream, error) {
 	if window < 0 {
 		window = 0
 	}
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	var budget time.Duration
-	hasBudget := false
-	if ctx != nil {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		default:
-		}
-		if dl, ok := ctx.Deadline(); ok {
-			budget = time.Until(dl)
-			hasBudget = true
-			if budget <= 0 {
-				return nil, context.DeadlineExceeded
-			}
-		}
-	}
-	metrics := c.Metrics
-	s, err := c.session(metrics, nil)
+	inv := invocation{ctx: ctx, op: op, marshal: marshal, metrics: c.Metrics}
+	s, enc, xid, err := c.prepare(&inv)
 	if err != nil {
 		return nil, err
 	}
-	xid := c.xid.Add(1)
-	h := ReqHeader{
-		XID:       xid,
-		Prog:      c.Prog,
-		Vers:      c.Vers,
-		Proc:      proc,
-		OpName:    opName,
-		ObjectKey: c.ObjectKey,
-	}
-	enc := getEncoder()
-	if metrics != nil {
-		enc.EnableStats(true)
-	}
-	if hasBudget {
-		// Outermost annotation, exactly as on the call path: see
-		// beginAttempt. Deadline-less streams write nothing.
-		writeDeadline(enc, budget)
-	}
-	c.proto.WriteRequest(enc, &h)
-	marshal(enc)
-	if metrics != nil {
-		op := metrics.Op(opName)
-		op.Calls.Add(1)
-		op.ReqBytes.Add(uint64(enc.Len()))
-		metrics.addEnc(enc.TakeStats())
+	if inv.metrics != nil {
+		inv.metrics.Op(op.Name).Calls.Add(1)
 	}
 
 	// The channel must hold every chunk the server is entitled to send
@@ -244,23 +197,9 @@ func (c *Client) CallStreamCtx(ctx context.Context, proc uint32, opName string, 
 	}
 	st := &ClientStream{c: c, s: s, xid: xid, window: window, ctx: ctx, ch: make(chan streamMsg, window+slack)}
 
-	// Register before sending so a chunk cannot race past its stream,
-	// exactly like the call table's register-before-send.
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
+	if err := c.register(s, xid, nil, st); err != nil {
 		putEncoder(enc)
 		return nil, err
-	}
-	s.streams[xid] = st
-	startReader := !s.readerOn
-	if startReader {
-		s.readerOn = true
-	}
-	s.mu.Unlock()
-	if startReader {
-		go c.readReplies(s)
 	}
 
 	err = s.conn.Send(enc.Bytes())

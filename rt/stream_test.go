@@ -68,12 +68,12 @@ func startStreamServer(t *testing.T) *streamFixture {
 // countStream opens a proc-5 stream for n chunks with the given window.
 func countStream(t *testing.T, c *Client, n, failAfter uint32, window int) *ClientStream {
 	t.Helper()
-	st, err := c.CallStream(5, "count", window, func(e *Encoder) {
+	st, err := c.Stream(nil, &Op{Proc: 5, Name: "count"}, window, func(e *Encoder) {
 		e.PutU32BEC(n)
 		e.PutU32BEC(failAfter)
 	})
 	if err != nil {
-		t.Fatalf("CallStream: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
 	return st
 }
@@ -130,7 +130,7 @@ func TestStreamCoexistsWithCalls(t *testing.T) {
 	var got uint32
 	for {
 		doubleCall(t, c, got+1)
-		p := c.CallAsync(1, "double", true, func(e *Encoder) { e.PutU32BEC(9) })
+		p := c.Go(nil, doubleIdemOp, func(e *Encoder) { e.PutU32BEC(9) })
 		d, err := st.Recv()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
@@ -281,7 +281,7 @@ func TestStreamTeardownMidTransfer(t *testing.T) {
 	t.Cleanup(func() { clientEnd.Close(); <-done })
 
 	c := newEchoClient(clientEnd)
-	st, err := c.CallStream(5, "count", 4, func(e *Encoder) {})
+	st, err := c.Stream(nil, &Op{Proc: 5, Name: "count"}, 4, func(e *Encoder) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestStreamShortDeliveryClassified(t *testing.T) {
 	t.Cleanup(func() { clientEnd.Close(); <-done })
 
 	c := newEchoClient(clientEnd)
-	st, err := c.CallStream(5, "count", 8, func(e *Encoder) {})
+	st, err := c.Stream(nil, &Op{Proc: 5, Name: "count"}, 8, func(e *Encoder) {})
 	if err != nil {
 		t.Fatal(err)
 	}

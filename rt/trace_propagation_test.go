@@ -143,7 +143,7 @@ func TestTracePropagatesThroughBatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(uint32(i + 1)) })
+			d, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(uint32(i + 1)) })
 			if err != nil {
 				t.Error(err)
 				return
@@ -250,32 +250,28 @@ func TestPoolFailoverKeepsTrace(t *testing.T) {
 	}
 }
 
-// connErrHook records TraceConnError events.
-type connErrHook struct {
-	mu     sync.Mutex
-	events []*TraceEvent
-}
-
-func (h *connErrHook) Trace(ev *TraceEvent) {
-	if ev.Kind == TraceConnError {
-		h.mu.Lock()
-		h.events = append(h.events, ev)
-		h.mu.Unlock()
+// connErrSpans returns the SpanConnError spans in tr's ring.
+func connErrSpans(tr *Tracer) []*Span {
+	var out []*Span
+	for _, sp := range tr.Spans() {
+		if sp.Kind == SpanConnError {
+			out = append(out, sp)
+		}
 	}
+	return out
 }
-func (h *connErrHook) WantWire() bool { return false }
 
-// TestClientPoisonReportsConnError pins the teardown-reporting fix: a
+// TestClientPoisonReportsConnError pins the teardown reporting: a
 // connection poisoned under the client (peer gone mid-call) must count
-// in Metrics.ConnErrors AND surface through the trace hook as a
-// TraceConnError carrying the pool session index — previously these
-// teardowns were only visible as the individual calls' failures.
+// in Metrics.ConnErrors AND be recorded — even by a tracer that samples
+// nothing — as a SpanConnError span carrying the pool session index
+// and the teardown error, not only as the individual calls' failures.
 func TestClientPoisonReportsConnError(t *testing.T) {
 	clientEnd, serverEnd := Pipe()
 	c := newEchoClient(clientEnd)
 	c.Metrics = NewMetrics()
-	hook := &connErrHook{}
-	c.Hooks = hook
+	tr := &Tracer{SampleRate: 0, Seed: 5}
+	c.Tracer = tr
 	c.Shard = 3
 	defer clientEnd.Close()
 
@@ -285,7 +281,7 @@ func TestClientPoisonReportsConnError(t *testing.T) {
 	go func() { serverEnd.Recv(); close(swallowed) }()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(1) })
+		_, err := c.Do(nil, doubleOp, func(e *Encoder) { e.PutU32BEC(1) })
 		errc <- err
 	}()
 	<-swallowed
@@ -296,13 +292,12 @@ func TestClientPoisonReportsConnError(t *testing.T) {
 	if got := c.Metrics.ConnErrors.Load(); got == 0 {
 		t.Error("poisoned connection not counted in ConnErrors")
 	}
-	hook.mu.Lock()
-	defer hook.mu.Unlock()
-	if len(hook.events) == 0 {
-		t.Fatal("no TraceConnError event reached the hook")
+	spans := connErrSpans(tr)
+	if len(spans) == 0 {
+		t.Fatal("no SpanConnError span recorded")
 	}
-	if ev := hook.events[0]; ev.Sess != 3 || ev.Err == nil {
-		t.Errorf("TraceConnError = sess %d err %v, want sess 3 with the teardown error", ev.Sess, ev.Err)
+	if sp := spans[0]; sp.Sess != 3 || sp.Err == "" || sp.Sampled {
+		t.Errorf("conn-error span = sess %d err %q sampled %v, want sess 3 with the teardown error, unsampled", sp.Sess, sp.Err, sp.Sampled)
 	}
 }
 

@@ -157,7 +157,7 @@ func TestClientServerConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go s.Serve(l)
+	serveListener(t, s, l)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -174,7 +174,7 @@ func TestClientServerConcurrentClients(t *testing.T) {
 			defer c.Close()
 			for i := 0; i < 50; i++ {
 				v := uint32(g*1000 + i)
-				d, err := c.Call(0, "dbl", false, func(e *Encoder) {
+				d, err := c.Do(nil, &Op{Proc: 0, Name: "dbl"}, func(e *Encoder) {
 					e.Grow(4)
 					e.PutU32BE(v)
 				})
@@ -201,10 +201,10 @@ func TestServerUnknownProgram(t *testing.T) {
 	s := NewServer(ONC{})
 	a, b := Pipe()
 	defer a.Close()
-	go s.ServeConn(b)
+	serveConn(t, s, b)
 	c := NewClient(a, ONC{})
 	c.Prog, c.Vers = 9, 9
-	if _, err := c.Call(0, "x", false, func(e *Encoder) {}); err != ErrSystem {
+	if _, err := c.Do(nil, &Op{Proc: 0, Name: "x"}, func(e *Encoder) {}); err != ErrSystem {
 		t.Errorf("unknown program err = %v", err)
 	}
 }
